@@ -98,7 +98,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
-                                seed=args.seed, jobs=args.jobs)
+                                seed=args.seed)
     failures = [r for r in results if r.status != "pass"]
     report = {
         "suites": args.suite,
@@ -149,10 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=_cmd_series)
 
     p_family = sub.add_parser("family", help="family value by any implemented method")
-    p_family.add_argument("--name", required=True,
-                          help="path|cycle|twin-path-leaf|twin-path-both|twin-path-interior|"
-                               "twin-interior-leaf|twin-cycle|moose|flagpole|triangle-path|"
-                               "dgraph|tadpole")
+    p_family.add_argument("--name", required=True, help="|".join(families.FAMILIES))
     p_family.add_argument("--n", type=int, required=True)
     p_family.add_argument("--ell", type=int)
     p_family.add_argument("--method", default="all",
@@ -162,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeff = sub.add_parser("coeff", help="closed-form e-coefficient for a family")
     p_coeff.add_argument("--family", required=True,
-                         help="path|cycle|twin-path-leaf|twin-path-both|twin-cycle")
+                         help="|".join(k for k, s in families.FAMILIES.items() if s.coeff))
     p_coeff.add_argument("--lambda", dest="lam", required=True,
                          help='partition, e.g. "5,2"; "0" is the empty partition')
     p_coeff.add_argument("--json", action="store_true")
@@ -177,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-deg", type=int, default=12,
                           help="series truncation / partition size cap (default 12)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p_verify.add_argument("--jobs", type=int, default=4, help="worker threads (default 4)")
     p_verify.add_argument("--out", help="also write the JSON report to this file")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)

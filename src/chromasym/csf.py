@@ -27,7 +27,7 @@ def _vertex_bound() -> int:
         try:
             return int(raw)
         except ValueError:
-            pass
+            raise ValueError(f"CHROMASYM_MAX_N must be an integer, got {raw!r}") from None
     return DEFAULT_MAX_VERTICES
 
 
@@ -35,7 +35,7 @@ def csf(g: Graph, max_vertices: int | None = None, max_edges: int = DEFAULT_MAX_
     """Exact e-expansion of the chromatic symmetric function of g.
 
     Size-guarded: the subset sum enumerates 2^{|E|} terms.  Results are
-    memoized by (n, edge set); concurrent identical inserts are harmless.
+    memoized by (n, edge set).
     """
     bound = max_vertices if max_vertices is not None else _vertex_bound()
     if g.n > bound:

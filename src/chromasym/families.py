@@ -21,8 +21,10 @@ the recurrences and coefficient formulas depend on them.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from . import graphs
 from . import powerseries as ps
 from .partitions import (Partition, epsilon, epsilon_minus, make_partition,
                          multiplicities, partitions_of, remove_part, support)
@@ -78,14 +80,6 @@ def cycle_seq(n: int) -> SymE:
             acc = acc + e(j) * (j - 1) * _cycle_cache[m - j]
         _cycle_cache.setdefault(m, acc)
     return _cycle_cache[n]
-
-
-def path_gf_series(trunc: int) -> Series:
-    return ps.path_gf(trunc)
-
-
-def cycle_gf_series(trunc: int) -> Series:
-    return ps.cycle_gf(trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -715,97 +709,132 @@ def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[str]:
     return bad
 
 
+
+
 # ---------------------------------------------------------------------------
-# dispatch plumbing shared with the CLI
+# the family table: value and coefficient dispatch, the verify sweeps and the
+# CLI help all derive from it
 
 
 def _canon_method(method: str) -> str:
     return method.strip().lower().replace("_", "-")
 
 
-def _canon_family(name: str) -> str:
+@dataclass(frozen=True)
+class FamilySpec:
+    """One graph family: its graph, its value routes and where they apply.
+
+    The members are n >= min_n and, for the two-parameter families, ell in
+    ells(n); a member's graph graph(n[, ell]) has n + extra vertices.  Below
+    pinned_below the value is a pinned convention that no simple graph
+    realizes.  value(n, ell, method) computes a member by one of methods, the
+    first being the default.  coeff(lam) is the printed coefficient formula,
+    and e_positive marks the families the paper claims e-positive.
+    """
+
+    graph: Callable[..., graphs.Graph]
+    methods: tuple[str, ...]
+    value: Callable[[int, Optional[int], str], SymE]
+    min_n: int
+    extra: int
+    ells: Optional[Callable[[int], range]] = None
+    pinned_below: int = 0
+    coeff: Optional[Callable[[Partition], Optional[int]]] = None
+    e_positive: bool = False
+
+    def check(self, name: str, n: int, ell: Optional[int]) -> None:
+        """Raise ValueError unless (n, ell) names a member of the family."""
+        if (ell is None) != (self.ells is None):
+            need = "takes no" if self.ells is None else "needs"
+            raise ValueError(f"family {name!r} {need} ell")
+        if n < self.min_n:
+            raise ValueError(f"family {name!r} needs n >= {self.min_n}, got {n}")
+        if ell is not None and ell not in (span := self.ells(n)):
+            raise ValueError(f"family {name!r} at n={n} needs "
+                             f"{span.start} <= ell <= {span[-1]}, got {ell}")
+
+
+# The routes call this module's functions by name, so a wrapper installed on
+# the module (a tracer or profiler) sees every call.  The auxiliary families
+# flagpole, triangle-path, dgraph and tadpole carry no e-positivity claim: the
+# stars among the flagpoles are genuine counterexamples.
+FAMILIES: dict[str, FamilySpec] = {
+    "path": FamilySpec(
+        graphs.path, ("recurrence", "gf"),
+        lambda n, ell, m: path_seq(n) if m == "recurrence" else ps.path_gf(n).extract(n),
+        min_n=0, extra=0, coeff=lambda lam: path_cycle_coeff("path", lam),
+        e_positive=True),
+    "cycle": FamilySpec(
+        graphs.cycle, ("recurrence", "gf"),
+        lambda n, ell, m: cycle_seq(n) if m == "recurrence" else ps.cycle_gf(n).extract(n),
+        min_n=1, extra=0, pinned_below=3,
+        coeff=lambda lam: path_cycle_coeff("cycle", lam), e_positive=True),
+    "twin-path-leaf": FamilySpec(
+        graphs.twin_path_leaf, ("identity", "gf", "recurrence"),
+        lambda n, ell, m: twin_path_leaf(n, m), min_n=1, extra=1,
+        coeff=lambda lam: twin_path_leaf_coeff(lam), e_positive=True),
+    "twin-path-both": FamilySpec(
+        graphs.twin_path_both, ("identity", "gf", "recurrence"),
+        lambda n, ell, m: twin_path_both(n, m), min_n=2, extra=2,
+        coeff=lambda lam: twin_path_both_coeff(lam), e_positive=True),
+    "twin-path-interior": FamilySpec(
+        graphs.twin_path_interior, ("identity", "gf", "epos-gf", "recurrence"),
+        lambda n, ell, m: twin_path_interior(n, ell, m), min_n=3, extra=1,
+        ells=lambda n: range(2, n), e_positive=True),
+    "twin-interior-leaf": FamilySpec(
+        graphs.twin_interior_leaf, ("identity",),
+        lambda n, ell, m: twin_interior_then_leaf(n, ell), min_n=4, extra=2,
+        ells=lambda n: range(2, n - 1), e_positive=True),
+    "twin-cycle": FamilySpec(
+        graphs.twin_cycle, ("identity", "gf", "recurrence"),
+        lambda n, ell, m: twin_cycle(n, m), min_n=1, extra=1, pinned_below=3,
+        coeff=lambda lam: twin_cycle_coeff(lam), e_positive=True),
+    "moose": FamilySpec(
+        graphs.moose, ("recurrence",), lambda n, ell, m: moose(n, m),
+        min_n=2, extra=2, e_positive=True),
+    "flagpole": FamilySpec(
+        graphs.flagpole, ("identity",), lambda n, ell, m: flagpole_seq(n, ell),
+        min_n=1, extra=1, ells=lambda n: range(1, n + 1)),
+    "triangle-path": FamilySpec(
+        graphs.triangle_path, ("identity",), lambda n, ell, m: triangle_path_seq(n, ell),
+        min_n=2, extra=1, ells=lambda n: range(1, n)),
+    "dgraph": FamilySpec(
+        graphs.dgraph, ("identity",), lambda n, ell, m: dgraph_seq(n), min_n=3, extra=1),
+    "tadpole": FamilySpec(
+        graphs.tadpole, ("identity",), lambda n, ell, m: tadpole_seq(n), min_n=3, extra=1),
+}
+
+
+def family_spec(name: str) -> FamilySpec:
+    """The table entry for a family name; - or _ separators and a twinned-
+    prefix are accepted."""
     key = name.strip().lower().replace("_", "-")
     if key.startswith("twinned-"):
         key = "twin-" + key[len("twinned-"):]
-    return key
-
-
-FAMILY_METHODS = {
-    "path": ("recurrence", "gf"),
-    "cycle": ("recurrence", "gf"),
-    "twin-path-leaf": ("identity", "gf", "recurrence"),
-    "twin-path-both": ("identity", "gf", "recurrence"),
-    "twin-path-interior": ("identity", "gf", "epos-gf", "recurrence"),
-    "twin-interior-leaf": ("identity",),
-    "twin-cycle": ("identity", "gf", "recurrence"),
-    "moose": ("recurrence",),
-    "flagpole": ("identity",),
-    "triangle-path": ("identity",),
-    "dgraph": ("identity",),
-    "tadpole": ("identity",),
-}
-
-_NEEDS_ELL = {"twin-path-interior", "twin-interior-leaf", "flagpole", "triangle-path"}
+    if key not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[key]
 
 
 def methods_for(name: str) -> tuple[str, ...]:
     """The computation routes available for a family tag."""
-    key = _canon_family(name)
-    if key not in FAMILY_METHODS:
-        raise ValueError(f"unknown family {name!r}")
-    return FAMILY_METHODS[key]
+    return family_spec(name).methods
 
 
 def family_value(name: str, n: int, ell: Optional[int] = None,
                  method: Optional[str] = None) -> SymE:
     """Value dispatcher for the CLI: one family tag, one n (and ell), one method."""
-    key = _canon_family(name)
-    if key not in FAMILY_METHODS:
-        raise ValueError(f"unknown family {name!r}")
-    if (ell is not None) != (key in _NEEDS_ELL):
-        need = "needs" if key in _NEEDS_ELL else "takes no"
-        raise ValueError(f"family {name!r} {need} ell")
-    method = _canon_method(method) if method else FAMILY_METHODS[key][0]
-    if method not in FAMILY_METHODS[key]:
+    spec = family_spec(name)
+    spec.check(name, n, ell)
+    method = _canon_method(method) if method else spec.methods[0]
+    if method not in spec.methods:
         raise ValueError(f"family {name!r} has no method {method!r}")
-    if key == "path":
-        return path_seq(n) if method == "recurrence" else ps.path_gf(n).extract(n)
-    if key == "cycle":
-        if method == "recurrence" or n < 2:
-            return cycle_seq(n)
-        return ps.cycle_gf(n).extract(n)
-    if key == "twin-path-leaf":
-        return twin_path_leaf(n, method)
-    if key == "twin-path-both":
-        return twin_path_both(n, method)
-    if key == "twin-path-interior":
-        return twin_path_interior(n, ell, method)
-    if key == "twin-interior-leaf":
-        return twin_interior_then_leaf(n, ell)
-    if key == "twin-cycle":
-        return twin_cycle(n, method)
-    if key == "moose":
-        return moose(n, method)
-    if key == "flagpole":
-        return flagpole_seq(n, ell)
-    if key == "triangle-path":
-        return triangle_path_seq(n, ell)
-    if key == "dgraph":
-        return dgraph_seq(n)
-    if key == "tadpole":
-        return tadpole_seq(n)
-    raise AssertionError("unreachable")
+    return spec.value(n, ell, method)
 
 
 def coeff_value(name: str, lam) -> Optional[int]:
     """Coefficient dispatcher for the CLI; None means no printed closed form."""
-    key = _canon_family(name)
-    if key in ("path", "cycle"):
-        return path_cycle_coeff(key, lam)
-    if key == "twin-path-leaf":
-        return twin_path_leaf_coeff(lam)
-    if key == "twin-path-both":
-        return twin_path_both_coeff(lam)
-    if key == "twin-cycle":
-        return twin_cycle_coeff(lam)
-    raise ValueError(f"no coefficient formulas for family {name!r}")
+    spec = family_spec(name)
+    if spec.coeff is None:
+        raise ValueError(f"no coefficient formulas for family {name!r}")
+    return spec.coeff(lam)

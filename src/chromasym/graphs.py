@@ -200,42 +200,13 @@ def moose(n: int) -> Graph:
     return Graph(n + 2, list(cycle(n).edges) + [(0, n), (1, n + 1)])
 
 
-_FAMILY_BUILDERS = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "flagpole": (flagpole, 2),
-    "triangle-path": (triangle_path, 2),
-    "dgraph": (dgraph, 1),
-    "tadpole": (tadpole, 1),
-    "moose": (moose, 1),
-    "twin-path-leaf": (twin_path_leaf, 1),
-    "twin-path-both": (twin_path_both, 1),
-    "twin-path-interior": (twin_path_interior, 2),
-    "twin-interior-leaf": (twin_interior_leaf, 2),
-    "twin-cycle": (twin_cycle, 1),
-}
-
-
-def _canon_family(name: str) -> str:
-    key = name.strip().lower().replace("_", "-")
-    if key.startswith("twinned-"):
-        key = "twin-" + key[len("twinned-"):]
-    return key
-
-
 def family(name: str, n: int, ell: Optional[int] = None) -> Graph:
     """Named family constructor; ell is required exactly for the two-parameter families."""
-    key = _canon_family(name)
-    if key not in _FAMILY_BUILDERS:
-        raise ValueError(f"unknown graph family {name!r}")
-    builder, arity = _FAMILY_BUILDERS[key]
-    if arity == 1:
-        if ell is not None:
-            raise ValueError(f"family {name!r} takes no ell")
-        return builder(n)
-    if ell is None:
-        raise ValueError(f"family {name!r} needs ell")
-    return builder(n, ell)
+    # deferred: the family table lives in families, which imports this module
+    from .families import family_spec
+    spec = family_spec(name)
+    spec.check(name, n, ell)
+    return spec.graph(n) if ell is None else spec.graph(n, ell)
 
 
 def parse_graph(text: str) -> Graph:

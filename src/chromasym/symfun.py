@@ -225,8 +225,7 @@ def power_sum_to_e(n: int) -> SymE:
     """Power sum p_n expanded in the e-basis via the Newton recurrence.
 
     p_n = sum_{i=1}^{n-1} (-1)^{i-1} e_i p_{n-i} + (-1)^{n-1} n e_n.
-    Memoized; concurrent fills insert identical values, so a stale read is
-    harmless.
+    Memoized.
     """
     if n < 1:
         raise ValueError("power sum index must be >= 1")

@@ -9,7 +9,6 @@ sampler takes an explicit seed).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb
 
@@ -348,58 +347,14 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
 def family_instances(max_vertices: int = 9):
     """Yield (label, graph-or-None, {method: callable}) for every family member
     whose graph has at most max_vertices vertices (plus graphless conventions)."""
-    mv = max_vertices
-    for n in range(0, mv + 1):
-        yield (f"path:n={n}", graphs.path(n),
-               {"recurrence": lambda n=n: fam.path_seq(n),
-                "gf": lambda n=n: ps.path_gf(n).extract(n)})
-    for n in range(1, mv + 1):
-        graph = graphs.cycle(n) if n >= 3 else None
-        methods = {"recurrence": lambda n=n: fam.cycle_seq(n)}
-        if n >= 2:
-            methods["gf"] = lambda n=n: ps.cycle_gf(n).extract(n)
-        yield (f"cycle:n={n}", graph, methods)
-    for n in range(1, mv):
-        yield (f"twin-path-leaf:n={n}", graphs.twin_path_leaf(n),
-               {m: (lambda n=n, m=m: fam.twin_path_leaf(n, m))
-                for m in ("identity", "gf", "recurrence")})
-    for n in range(2, mv - 1):
-        yield (f"twin-path-both:n={n}", graphs.twin_path_both(n),
-               {m: (lambda n=n, m=m: fam.twin_path_both(n, m))
-                for m in ("identity", "gf", "recurrence")})
-    for n in range(3, mv):
-        for ell in range(2, n):
-            yield (f"twin-path-interior:n={n},ell={ell}",
-                   graphs.twin_path_interior(n, ell),
-                   {m: (lambda n=n, ell=ell, m=m: fam.twin_path_interior(n, ell, m))
-                    for m in ("identity", "gf", "epos-gf", "recurrence")})
-    for n in range(4, mv - 1):
-        for ell in range(2, n - 1):
-            yield (f"twin-interior-leaf:n={n},ell={ell}",
-                   graphs.twin_interior_leaf(n, ell),
-                   {"identity": lambda n=n, ell=ell: fam.twin_interior_then_leaf(n, ell)})
-    for n in range(1, mv):
-        graph = graphs.twin_cycle(n) if n >= 3 else None
-        yield (f"twin-cycle:n={n}", graph,
-               {m: (lambda n=n, m=m: fam.twin_cycle(n, m))
-                for m in ("identity", "gf", "recurrence")})
-    for n in range(2, mv - 1):
-        yield (f"moose:n={n}", graphs.moose(n),
-               {"recurrence": lambda n=n: fam.moose(n)})
-    for n in range(1, mv):
-        for ell in range(1, n + 1):
-            yield (f"flagpole:n={n},ell={ell}", graphs.flagpole(n, ell),
-                   {"identity": lambda n=n, ell=ell: fam.flagpole_seq(n, ell)})
-    for n in range(2, mv):
-        for ell in range(1, n):
-            yield (f"triangle-path:n={n},ell={ell}", graphs.triangle_path(n, ell),
-                   {"identity": lambda n=n, ell=ell: fam.triangle_path_seq(n, ell)})
-    for n in range(3, mv):
-        yield (f"dgraph:n={n}", graphs.dgraph(n),
-               {"identity": lambda n=n: fam.dgraph_seq(n)})
-    for n in range(3, mv):
-        yield (f"tadpole:n={n}", graphs.tadpole(n),
-               {"identity": lambda n=n: fam.tadpole_seq(n)})
+    for name, spec in fam.FAMILIES.items():
+        for n in range(spec.min_n, max_vertices - spec.extra + 1):
+            for ell in spec.ells(n) if spec.ells else (None,):
+                label = f"{name}:n={n}" if ell is None else f"{name}:n={n},ell={ell}"
+                graph = graphs.family(name, n, ell) if n >= spec.pinned_below else None
+                yield (label, graph,
+                       {m: (lambda n=n, ell=ell, m=m, value=spec.value: value(n, ell, m))
+                        for m in spec.methods})
 
 
 def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
@@ -432,18 +387,11 @@ def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
     return col.results
 
 
-# families with an e-positivity claim; the bookkeeping families (flagpole,
-# triangle-path, dgraph) are not claimed and stars among the flagpoles are
-# genuine counterexamples
-EPOS_FAMILIES = ("path", "cycle", "twin-path-leaf", "twin-path-both",
-                 "twin-path-interior", "twin-interior-leaf", "twin-cycle", "moose")
-
-
 def e_positivity_check(trunc: int = 12, max_vertices: int = 9) -> list[CaseResult]:
     col = Collector("families")
     with col.group("family-values-epos") as g:
         for label, _, methods in family_instances(max_vertices):
-            if label.split(":")[0] not in EPOS_FAMILIES:
+            if not fam.FAMILIES[label.split(":")[0]].e_positive:
                 continue
             val = next(iter(methods.values()))()
             witness = val.negative_term()
@@ -677,36 +625,27 @@ def structural_check(max_vertices: int = 9, count_vertices: int = 8,
 SUITES = ("partitions", "series", "families", "oracle")
 
 
-def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0,
-               jobs: int = 4) -> list[CaseResult]:
+def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[CaseResult]:
     """Run the selected suites (or all) and return sorted case results."""
     wanted = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    tasks = []
-    if "partitions" in wanted:
-        tasks += [epsilon_table_check,
-                  lambda: epsilon_properties_check(min(12, max_deg), 10),
-                  lambda: enumeration_check(max_deg)]
-    if "series" in wanted:
-        tasks += [lambda: ring_laws_check(seed),
-                  newton_check,
-                  lambda: series_identities_check(max_deg)]
-    if "families" in wanted:
-        tasks += [lambda: family_sweep_check(max_n),
-                  lambda: e_positivity_check(max_deg, max_n),
-                  lambda: coefficient_sweeps_check(min(9, max_n), 10)]
-    if "oracle" in wanted:
-        tasks += [fixtures_check,
-                  lambda: structural_check(max_n, min(8, max_n), 5)]
     results: list[CaseResult] = []
-    if jobs <= 1:
-        for task in tasks:
-            results.extend(task())
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(lambda t: t(), tasks):
-                results.extend(chunk)
+    if "partitions" in wanted:
+        results += epsilon_table_check()
+        results += epsilon_properties_check(min(12, max_deg), 10)
+        results += enumeration_check(max_deg)
+    if "series" in wanted:
+        results += ring_laws_check(seed)
+        results += newton_check()
+        results += series_identities_check(max_deg)
+    if "families" in wanted:
+        results += family_sweep_check(max_n)
+        results += e_positivity_check(max_deg, max_n)
+        results += coefficient_sweeps_check(min(9, max_n), 10)
+    if "oracle" in wanted:
+        results += fixtures_check()
+        results += structural_check(max_n, min(8, max_n), 5)
     results.sort(key=lambda r: (r.suite, r.case))
     return results

@@ -40,6 +40,13 @@ def test_csf_bad_graph_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_bad_env_bound_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CHROMASYM_MAX_N", "twelve")
+    code, _, err = run_cli(capsys, "csf", "--graph", "path:3")
+    assert code == 2
+    assert err.startswith("error:") and "CHROMASYM_MAX_N" in err and "twelve" in err
+
+
 def test_series_extract(capsys):
     code, out, _ = run_cli(capsys, "series", "--name", "path-gf", "--N", "6",
                            "--extract", "3")
@@ -94,6 +101,17 @@ def test_family_missing_ell(capsys):
     assert code == 2
 
 
+def test_family_help_lists_every_family(monkeypatch, capsys):
+    from chromasym.families import FAMILIES
+
+    monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap names at hyphens
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in FAMILIES)
+
+
 def test_coeff_twinned_cycle(capsys):
     code, out, _ = run_cli(capsys, "coeff", "--family", "twinned-cycle",
                            "--lambda", "5")
@@ -129,8 +147,7 @@ def test_verify_small_run(capsys, tmp_path):
 
 
 def test_verify_oracle_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle",
-                           "--max-n", "5", "--jobs", "1")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "5")
     assert code == 0
     assert "passed, 0 failed" in out
 

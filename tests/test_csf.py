@@ -62,6 +62,12 @@ def test_csf_respects_env_bound(monkeypatch):
     assert csf(path(5)).homogeneous_degree() == 5
 
 
+def test_csf_rejects_non_integer_env_bound(monkeypatch):
+    monkeypatch.setenv("CHROMASYM_MAX_N", "4.5")
+    with pytest.raises(ValueError, match="CHROMASYM_MAX_N.*4.5"):
+        csf(path(3))
+
+
 def test_coloring_counts_against_full_scan():
     cases = [(path(3), 2), (path(4), 3), (cycle(3), 2), (cycle(4), 3),
              (cycle(5), 3), (twin(path(3), 1), 3)]

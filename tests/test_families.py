@@ -349,3 +349,28 @@ def test_coeff_value_dispatch():
     assert fam.coeff_value("twin-path-both", (4,)) is None
     with pytest.raises(ValueError):
         fam.coeff_value("moose", (5,))
+
+
+def test_family_instances_inventory():
+    from chromasym.verify import family_instances
+
+    want = {"path": 10, "cycle": 9, "twin-path-leaf": 8, "twin-path-both": 6,
+            "twin-path-interior": 21, "twin-interior-leaf": 10, "twin-cycle": 8,
+            "moose": 6, "flagpole": 36, "triangle-path": 28, "dgraph": 6,
+            "tadpole": 6}
+    members = list(family_instances(9))
+    counts = {}
+    for label, graph, methods in members:
+        name, _, params = label.partition(":")
+        counts[name] = counts.get(name, 0) + 1
+        assert tuple(methods) == fam.methods_for(name)
+        if graph is None:
+            continue
+        args = dict(kv.split("=") for kv in params.split(","))
+        ell = int(args["ell"]) if "ell" in args else None
+        assert graph == family(name, int(args["n"]), ell)
+        assert graph.n <= 9
+    assert counts == want
+    assert set(counts) == set(fam.FAMILIES)
+    assert len(members) == 154
+    assert sum(graph is not None for _, graph, _ in members) == 150
