@@ -125,13 +125,25 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so hyphenated family names stay whole."""
+
+    def _split_lines(self, text, width):
+        import textwrap  # as in argparse: only printing help pays for the import
+
+        text = self._whitespace_matcher.sub(" ", text).strip()
+        return textwrap.wrap(text, width, break_on_hyphens=False,
+                             break_long_words=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromasym",
         description="Exact chromatic symmetric functions in the elementary basis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_csf = sub.add_parser("csf", help="e-expansion of a graph's chromatic symmetric function")
+    p_csf = sub.add_parser("csf", formatter_class=_HelpFormatter,
+                           help="e-expansion of a graph's chromatic symmetric function")
     p_csf.add_argument("--graph", required=True,
                        help="graph spec, e.g. path:7, twin(cycle:6,0), g:n=3;edges=0-1,1-2")
     p_csf.add_argument("--check-colorings", type=int, metavar="K",
@@ -139,33 +151,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_csf.add_argument("--json", action="store_true")
     p_csf.set_defaults(func=_cmd_csf)
 
-    p_series = sub.add_parser("series", help="print a named series or one coefficient")
+    p_series = sub.add_parser("series", formatter_class=_HelpFormatter,
+                              help="print a named series or one coefficient")
     p_series.add_argument("--name", required=True,
-                          help="E|D|G|K|F1|F2|F3|E_geq|K_geq|G_geq|G_leq|path-gf|cycle-gf")
+                          help="E, D, G, K, F1, F2, F3, E_geq, K_geq, G_geq, G_leq, path-gf, cycle-gf")
     p_series.add_argument("--N", type=int, default=12, help="truncation degree (default 12)")
     p_series.add_argument("--k", type=int, help="cutoff for the k-indexed families")
     p_series.add_argument("--extract", type=int, metavar="n", help="print only the z^n coefficient")
     p_series.add_argument("--json", action="store_true")
     p_series.set_defaults(func=_cmd_series)
 
-    p_family = sub.add_parser("family", help="family value by any implemented method")
-    p_family.add_argument("--name", required=True, help="|".join(families.FAMILIES))
+    p_family = sub.add_parser("family", formatter_class=_HelpFormatter,
+                              help="family value by any implemented method")
+    p_family.add_argument("--name", required=True, help=", ".join(families.FAMILIES))
     p_family.add_argument("--n", type=int, required=True)
     p_family.add_argument("--ell", type=int)
     p_family.add_argument("--method", default="all",
-                          help="identity|gf|epos-gf|recurrence|all (default all)")
+                          help="identity, gf, epos-gf, recurrence or all (default all)")
     p_family.add_argument("--json", action="store_true")
     p_family.set_defaults(func=_cmd_family)
 
-    p_coeff = sub.add_parser("coeff", help="closed-form e-coefficient for a family")
+    p_coeff = sub.add_parser("coeff", formatter_class=_HelpFormatter,
+                             help="closed-form e-coefficient for a family")
     p_coeff.add_argument("--family", required=True,
-                         help="|".join(k for k, s in families.FAMILIES.items() if s.coeff))
+                         help=", ".join(k for k, s in families.FAMILIES.items() if s.coeff))
     p_coeff.add_argument("--lambda", dest="lam", required=True,
                          help='partition, e.g. "5,2"; "0" is the empty partition')
     p_coeff.add_argument("--json", action="store_true")
     p_coeff.set_defaults(func=_cmd_coeff)
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
+    p_verify = sub.add_parser("verify", formatter_class=_HelpFormatter,
+                              help="run the verification suites")
     p_verify.add_argument("--suite", action="append", required=True,
                           choices=list(verify.SUITES) + ["all"],
                           help="may be repeated; 'all' runs everything")

@@ -4,8 +4,9 @@ The oracle expands X_G = sum over edge subsets S of (-1)^{|S|} p_{lam(S)},
 where lam(S) is the partition of connected component sizes of (V, S), then
 converts each power sum product to the e-basis.  This is 2^{|E|} work, far
 below the k^n coloring scan for the sizes here, and it lands directly in
-symmetric function form.  Independent cross-checks (coloring counts, triple
-deletion) live alongside it.
+symmetric function form.  Independent cross-checks live alongside it: the
+proper-coloring count, which sums over partitions of V into independent sets
+and never touches symmetric functions, and the triangle deletion identities.
 """
 
 from __future__ import annotations
@@ -85,29 +86,37 @@ def csf(g: Graph, max_vertices: int | None = None, max_edges: int = DEFAULT_MAX_
 
 
 def count_proper_colorings(g: Graph, k: int) -> int:
-    """Number of proper colorings with palette {1..k}, by direct enumeration.
+    """Number of proper colorings with palette {1..k}, by independent-set partitions.
 
-    Backtracks over vertices in label order, so improper prefixes are pruned;
-    every proper coloring is still visited exactly once.  Completely
-    independent of the symmetric function route.
+    Uses P(G, k) = sum_j a_j k(k-1)...(k-j+1) (Read, 1968), where a_j counts
+    the partitions of V into j independent sets.  The walk visits vertices in
+    label order and gives each one a block already in use or the next new
+    one, so every partition into at most k independent sets is visited
+    exactly once; the walks are tallied by their number of blocks.
+    Completely independent of the symmetric function route.
     """
     if k < 0:
         raise ValueError("palette size must be >= 0")
     earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
-    colors = [-1] * g.n
+    blocks = [-1] * g.n
+    tally = [0] * (g.n + 1)
 
-    def walk(v: int) -> int:
+    def walk(v: int, used: int) -> None:
         if v == g.n:
-            return 1
-        total = 0
-        for c in range(k):
-            if all(colors[u] != c for u in earlier[v]):
-                colors[v] = c
-                total += walk(v + 1)
-        colors[v] = -1
-        return total
+            tally[used] += 1
+            return
+        for c in range(min(used + 1, k)):
+            if all(blocks[u] != c for u in earlier[v]):
+                blocks[v] = c
+                walk(v + 1, max(used, c + 1))
+        blocks[v] = -1
 
-    return walk(0)
+    walk(0, 0)
+    total, falling = 0, 1
+    for j, a_j in enumerate(tally):
+        total += a_j * falling
+        falling *= k - j
+    return total
 
 
 def chromatic_count_check(g: Graph, k: int, max_vertices: int = 8, max_k: int = 5) -> bool:
@@ -116,6 +125,8 @@ def chromatic_count_check(g: Graph, k: int, max_vertices: int = 8, max_k: int = 
     Specializing e_i at x_1 = ... = x_k = 1 gives binom(k, i), so the left
     side is sum_lam c_lam prod_i binom(k, lam_i).
     """
+    if k < 0:
+        raise ValueError("palette size must be >= 0")
     if g.n > max_vertices or k > max_k:
         raise ValueError(f"count check bound exceeded (n={g.n}, k={k})")
     specialized = csf(g).eval_elementary([1] * k)

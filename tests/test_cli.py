@@ -34,6 +34,15 @@ def test_csf_coloring_check(capsys):
     assert out.strip() == "ok"
 
 
+def test_csf_negative_palette_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "csf", "--graph", "path:3",
+                             "--check-colorings", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "palette size" in err
+    assert "Traceback" not in err
+
+
 def test_csf_bad_graph_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "csf", "--graph", "heptagon:9")
     assert code == 2
@@ -104,12 +113,18 @@ def test_family_missing_ell(capsys):
 def test_family_help_lists_every_family(monkeypatch, capsys):
     from chromasym.families import FAMILIES
 
-    monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap names at hyphens
-    with pytest.raises(SystemExit) as exc:
-        main(["family", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert all(name in out for name in FAMILIES)
+    listed = {"family": list(FAMILIES),
+              "coeff": [name for name, spec in FAMILIES.items() if spec.coeff]}
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command, names in listed.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            lines = capsys.readouterr().out.splitlines()
+            words = [set(line.replace(",", " ").split()) for line in lines]
+            for name in names:
+                assert any(name in w for w in words), (columns, command, name)
 
 
 def test_coeff_twinned_cycle(capsys):

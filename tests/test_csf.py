@@ -1,6 +1,7 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromasym.csf import (chromatic_count_check, count_proper_colorings, csf,
                            leaf_twin_reduction_check, near_triangle_check,
@@ -75,6 +76,33 @@ def test_coloring_counts_against_full_scan():
         assert count_proper_colorings(g, k) == brute_force_colorings(g, k)
 
 
+@st.composite
+def simple_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))
+                 if n >= 2 else st.just(set()))
+    return Graph(n, edges)
+
+
+@settings(derandomize=True)
+@given(simple_graphs(), st.integers(min_value=0, max_value=5))
+def test_coloring_counts_match_full_scan_on_random_graphs(g, k):
+    assert count_proper_colorings(g, k) == brute_force_colorings(g, k)
+
+
+def test_coloring_count_edge_cases():
+    for k in range(6):
+        assert count_proper_colorings(Graph(0), k) == 1
+        assert count_proper_colorings(twin_cycle(3), k) == k * (k - 1) * (k - 2) * (k - 3)
+        for n in range(1, 6):
+            assert count_proper_colorings(Graph(n), k) == k ** n
+    for n in range(1, 6):
+        assert count_proper_colorings(path(n), 0) == 0
+    assert all(count_proper_colorings(twin_cycle(3), k) == 0 for k in range(4))
+    with pytest.raises(ValueError, match="palette size"):
+        count_proper_colorings(path(3), -1)
+
+
 def test_count_check_fixture_values():
     # frozen from the full-scan oracle
     assert brute_force_colorings(path(3), 2) == 2
@@ -90,6 +118,11 @@ def test_count_check_bounds():
         chromatic_count_check(path(3), 9)
     with pytest.raises(ValueError):
         chromatic_count_check(path(3), 3, max_vertices=2)
+    with pytest.raises(ValueError, match="palette size"):
+        chromatic_count_check(path(3), -1)
+    # rejected before the oracle runs: csf itself would refuse 15 vertices
+    with pytest.raises(ValueError, match="palette size"):
+        chromatic_count_check(Graph(15), -1, max_vertices=20)
 
 
 def test_triple_deletion_on_twin():
