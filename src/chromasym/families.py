@@ -41,11 +41,10 @@ _cycle_cache: dict[int, SymE] = {}
 
 def path_seq(n: int) -> SymE:
     """X of the n-vertex path: n e_n + sum_{j=2}^{n-1} (j-1) e_j X_{P_{n-j}}."""
-    if n < 0:
-        raise ValueError("path index must be >= 0")
     got = _path_cache.get(n)
     if got is not None:
         return got
+    _check_member("path", n)
     _path_cache.setdefault(0, SymE.one())
     _path_cache.setdefault(1, e(1))
     _path_cache.setdefault(2, e(2) * 2)
@@ -64,11 +63,10 @@ def cycle_seq(n: int) -> SymE:
 
     n=1 and n=2 are the pinned conventions 0 and 2e_2.
     """
-    if n < 1:
-        raise ValueError("cycle index must be >= 1")
     got = _cycle_cache.get(n)
     if got is not None:
         return got
+    _check_member("cycle", n)
     _cycle_cache.setdefault(1, SymE.zero())
     _cycle_cache.setdefault(2, e(2) * 2)
     _cycle_cache.setdefault(3, e(3) * 6)
@@ -132,8 +130,7 @@ def _leaf_twin_recurrence(n: int) -> SymE:
 
 def twin_path_leaf(n: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at a leaf."""
-    if n < 1:
-        raise ValueError("leaf twin needs n >= 1")
+    _check_member("twin-path-leaf", n)
     method = _canon_method(method)
     if method == "identity":
         return path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2
@@ -251,8 +248,7 @@ def _both_leaves_recurrence(n: int) -> SymE:
 
 def twin_path_both(n: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at both leaves."""
-    if n < 2:
-        raise ValueError("both-leaves twin needs n >= 2")
+    _check_member("twin-path-both", n)
     method = _canon_method(method)
     if n == 2 and method in ("identity", "gf"):
         return e(4) * 24
@@ -449,8 +445,7 @@ def _interior_recurrence(n: int, ell: int) -> SymE:
 
 def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at interior position ell (1-based)."""
-    if not 2 <= ell <= n - 1:
-        raise ValueError(f"interior twin needs 2 <= ell <= n-1, got ({n}, {ell})")
+    _check_member("twin-path-interior", n, ell)
     method = _canon_method(method)
     if method == "identity":
         return _interior_identity(n, ell)
@@ -466,8 +461,7 @@ def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
 def twin_interior_then_leaf(n: int, ell: int) -> SymE:
     """X of the n-path twinned at interior position ell and then at the leaf n:
     2 (X_{n+1,ell} - e_2 X_{n-1,ell})."""
-    if n < 4 or not 2 <= ell <= n - 2:
-        raise ValueError(f"interior+leaf twin needs n >= 4, 2 <= ell <= n-2, got ({n}, {ell})")
+    _check_member("twin-interior-leaf", n, ell)
     return (twin_path_interior(n + 1, ell) - e(2) * twin_path_interior(n - 1, ell)) * 2
 
 
@@ -478,30 +472,26 @@ def twin_interior_then_leaf(n: int, ell: int) -> SymE:
 def flagpole_seq(n: int, ell: int) -> SymE:
     """X of the path with a pendant at position ell:
     X_{P_{n+1}} + e_1 X_{P_n} - X_{P_ell} X_{P_{n-ell+1}}."""
-    if n < 1 or not 1 <= ell <= n:
-        raise ValueError(f"flagpole needs 1 <= ell <= n, got ({n}, {ell})")
+    _check_member("flagpole", n, ell)
     return path_seq(n + 1) + e(1) * path_seq(n) - path_seq(ell) * path_seq(n - ell + 1)
 
 
 def triangle_path_seq(n: int, ell: int) -> SymE:
     """X of the path with a triangle vertex over positions ell, ell+1:
     X_{F_{n,ell}} + X_{P_{n+1}} - X_{P_{ell+1}} X_{P_{n-ell}}."""
-    if n < 2 or not 1 <= ell <= n - 1:
-        raise ValueError(f"triangle path needs 1 <= ell <= n-1, got ({n}, {ell})")
+    _check_member("triangle-path", n, ell)
     return flagpole_seq(n, ell) + path_seq(n + 1) - path_seq(ell + 1) * path_seq(n - ell)
 
 
 def dgraph_seq(n: int) -> SymE:
     """X of the once-deleted twinned cycle: 2 X_{C_{n+1}} + e_1 X_{C_n} - 2 X_{P_{n+1}}."""
-    if n < 3:
-        raise ValueError("dgraph needs n >= 3")
+    _check_member("dgraph", n)
     return cycle_seq(n + 1) * 2 + e(1) * cycle_seq(n) - path_seq(n + 1) * 2
 
 
 def tadpole_seq(n: int) -> SymE:
     """X of the cycle with one pendant: X_{C_{n+1}} + e_1 X_{C_n} - X_{P_{n+1}}."""
-    if n < 3:
-        raise ValueError("tadpole needs n >= 3")
+    _check_member("tadpole", n)
     return cycle_seq(n + 1) + e(1) * cycle_seq(n) - path_seq(n + 1)
 
 
@@ -565,8 +555,7 @@ def _twin_cycle_recurrence(n: int) -> SymE:
 
 def twin_cycle(n: int, method: str = "identity") -> SymE:
     """X of the n-cycle twinned at a vertex; n = 1, 2 are pinned conventions."""
-    if n < 1:
-        raise ValueError("twinned cycle needs n >= 1")
+    _check_member("twin-cycle", n)
     method = _canon_method(method)
     if n <= 2 and method in ("identity", "gf"):
         return e(2) * 2 if n == 1 else e(3) * 6
@@ -640,8 +629,7 @@ def moose(n: int, method: str = "recurrence") -> SymE:
     sum_{j=2}^{n-2} (j-1) e_j X_{n-j} + (n+2)(n-1) e_{n+2}
     + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n.
     """
-    if n < 2:
-        raise ValueError("moose needs n >= 2")
+    _check_member("moose", n)
     if _canon_method(method) != "recurrence":
         raise ValueError(f"moose has no method {method!r}")
     for m, build in _MOOSE_INITIAL.items():
@@ -803,6 +791,11 @@ FAMILIES: dict[str, FamilySpec] = {
     "tadpole": FamilySpec(
         graphs.tadpole, ("identity",), lambda n, ell, m: tadpole_seq(n), min_n=3, extra=1),
 }
+
+
+def _check_member(name: str, n: int, ell: Optional[int] = None) -> None:
+    # the route functions share the table's domain and its messages
+    FAMILIES[name].check(name, n, ell)
 
 
 def family_spec(name: str) -> FamilySpec:

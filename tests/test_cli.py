@@ -1,4 +1,6 @@
+import importlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -47,6 +49,17 @@ def test_csf_bad_graph_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "csf", "--graph", "heptagon:9")
     assert code == 2
     assert "error" in err
+
+
+def test_csf_too_many_edges_is_usage_error(monkeypatch, capsys):
+    # the edge bound is checked before the memo lookup and any oracle work
+    monkeypatch.setattr(importlib.import_module("chromasym.csf"), "_csf_memo", None)
+    edges = ",".join(f"{a}-{b}" for a, b in combinations(range(14), 2))
+    code, out, err = run_cli(capsys, "csf", "--graph", f"g:n=14;edges={edges}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "91 edges" in err
+    assert "Traceback" not in err
 
 
 def test_bad_env_bound_is_usage_error(monkeypatch, capsys):

@@ -1,14 +1,18 @@
+import importlib
+import time
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromasym import families as fam
+from chromasym import verify
 from chromasym.csf import (chromatic_count_check, count_proper_colorings, csf,
                            leaf_twin_reduction_check, near_triangle_check,
                            triple_deletion_check)
-from chromasym.graphs import (Graph, cycle, disjoint_union, path, twin,
+from chromasym.graphs import (Graph, cycle, disjoint_union, family, path, twin,
                               twin_cycle, twin_path_both, triangles)
-from chromasym.symfun import SymE, e, e_term
+from chromasym.symfun import SymE, e, e_term, power_sum_lambda_to_e
 
 
 def brute_force_colorings(g, k):
@@ -18,6 +22,52 @@ def brute_force_colorings(g, k):
         if all(assignment[a] != assignment[b] for a, b in g.edges):
             total += 1
     return total
+
+
+def subset_sum_csf(g):
+    # independent oracle: Stanley's sum over all 2^|E| edge subsets S of
+    # (-1)^|S| p_lam(S), lam(S) the component sizes of (V, S)
+    n = g.n
+    edges = g.edge_list()
+    tally: dict[tuple, int] = {}
+    for mask in range(1 << len(edges)):
+        parent = list(range(n))
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            a, b = edges[low.bit_length() - 1]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+        sizes: dict[int, int] = {}
+        for v in range(n):
+            r = v
+            while parent[r] != r:
+                r = parent[r]
+            sizes[r] = sizes.get(r, 0) + 1
+        lam = tuple(sorted(sizes.values(), reverse=True))
+        sign = -1 if mask.bit_count() & 1 else 1
+        tally[lam] = tally.get(lam, 0) + sign
+
+    total = SymE.zero()
+    for lam, count in tally.items():
+        if count:
+            total = total + power_sum_lambda_to_e(lam) * count
+    return total
+
+
+def complete(n):
+    return Graph(n, combinations(range(n), 2))
+
+
+def star(leaves):
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
 def test_csf_fixtures():
@@ -46,6 +96,48 @@ def test_csf_multiplicative():
 def test_csf_single_vertex_and_edgeless():
     assert csf(path(1)) == e(1)
     assert csf(Graph(3)) == e_term((1, 1, 1))
+
+
+def test_csf_matches_subset_sum_on_family_graphs():
+    graphs = [g for _, g, _ in verify.family_instances(8) if g is not None]
+    assert len(graphs) == 117
+    for g in graphs:
+        assert csf(g) == subset_sum_csf(g), g
+
+
+def test_csf_matches_subset_sum_edge_cases():
+    for g in (Graph(0), Graph(5), complete(5), star(7),
+              disjoint_union(cycle(3), disjoint_union(path(1), twin(path(3), 1)))):
+        assert csf(g) == subset_sum_csf(g), g
+
+
+def test_csf_at_vertex_bound(monkeypatch):
+    # a cold memo, so the budget times the oracle itself (the package
+    # re-exports the function csf under the module's name)
+    monkeypatch.setattr(importlib.import_module("chromasym.csf"), "_csf_memo", {})
+    # P_10 twinned at a leaf and three interior vertices has 14 vertices and
+    # 20 edges, the edge bound: the 2^|E| subset sum takes seconds on it
+    dense = path(10)
+    for v in (0, 3, 5, 7):
+        dense = twin(dense, v)
+    assert len(dense.edges) == 20
+    cases = [(dense, [])]
+    for name, spec in fam.FAMILIES.items():
+        n = 14 - spec.extra
+        ell = spec.ells(n)[len(spec.ells(n)) // 2] if spec.ells else None
+        cases.append((family(name, n, ell), [fam.family_value(name, n, ell)]))
+    cases.append((twin_cycle(13), [fam.family_value("twin-cycle", 13, None, m)
+                                   for m in fam.methods_for("twin-cycle")]))
+    cases.append((star(13), [subset_sum_csf(star(13))]))
+    start = time.perf_counter()
+    got = [csf(g) for g, _ in cases]
+    elapsed = time.perf_counter() - start
+    for (g, wants), value in zip(cases, got):
+        assert g.n == 14
+        assert all(value == want for want in wants), g
+    for k in range(4):
+        assert got[0].eval_elementary([1] * k) == count_proper_colorings(dense, k)
+    assert elapsed <= 3.0, f"oracle at 14 vertices took {elapsed:.2f}s, budget 3s"
 
 
 def test_csf_size_bound():
@@ -77,9 +169,9 @@ def test_coloring_counts_against_full_scan():
 
 
 @st.composite
-def simple_graphs(draw, max_n=7):
+def simple_graphs(draw, max_n=7, max_edges=None):
     n = draw(st.integers(min_value=0, max_value=max_n))
-    edges = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))), max_size=max_edges)
                  if n >= 2 else st.just(set()))
     return Graph(n, edges)
 
@@ -88,6 +180,16 @@ def simple_graphs(draw, max_n=7):
 @given(simple_graphs(), st.integers(min_value=0, max_value=5))
 def test_coloring_counts_match_full_scan_on_random_graphs(g, k):
     assert count_proper_colorings(g, k) == brute_force_colorings(g, k)
+
+
+# at most 14 edges keeps the 2^|E| reference fast
+@settings(derandomize=True)
+@given(simple_graphs(max_n=8, max_edges=14))
+def test_csf_subset_sum_and_colorings_agree_on_random_graphs(g):
+    value = csf(g)
+    assert value == subset_sum_csf(g)
+    for k in range(4):
+        assert value.eval_elementary([1] * k) == count_proper_colorings(g, k)
 
 
 def test_coloring_count_edge_cases():

@@ -343,6 +343,35 @@ def test_family_value_dispatch():
         fam.family_value("no-such", 6)
 
 
+def test_route_functions_share_the_table_domain():
+    # one out-of-domain member per family: the route function and the
+    # dispatcher reject it with the same message
+    cases = {
+        "path": (lambda: fam.path_seq(-1), -1, None),
+        "cycle": (lambda: fam.cycle_seq(0), 0, None),
+        "twin-path-leaf": (lambda: fam.twin_path_leaf(0), 0, None),
+        "twin-path-both": (lambda: fam.twin_path_both(1, "gf"), 1, None),
+        "twin-path-interior": (lambda: fam.twin_path_interior(5, 5), 5, 5),
+        "twin-interior-leaf": (lambda: fam.twin_interior_then_leaf(5, 4), 5, 4),
+        "twin-cycle": (lambda: fam.twin_cycle(0), 0, None),
+        "moose": (lambda: fam.moose(1), 1, None),
+        "flagpole": (lambda: fam.flagpole_seq(3, 0), 3, 0),
+        "triangle-path": (lambda: fam.triangle_path_seq(1, 1), 1, 1),
+        "dgraph": (lambda: fam.dgraph_seq(2), 2, None),
+        "tadpole": (lambda: fam.tadpole_seq(2), 2, None),
+    }
+    assert set(cases) == set(fam.FAMILIES)
+    for name, (route, n, ell) in cases.items():
+        with pytest.raises(ValueError) as by_route:
+            route()
+        with pytest.raises(ValueError) as by_table:
+            fam.family_value(name, n, ell)
+        assert str(by_route.value) == str(by_table.value), name
+        assert str(by_route.value).startswith(f"family {name!r}")
+    with pytest.raises(ValueError, match="has no method 'gf'"):
+        fam.moose(4, "gf")
+
+
 def test_coeff_value_dispatch():
     assert fam.coeff_value("twinned-cycle", (5,)) == 25
     assert fam.coeff_value("path", (5, 1)) == 4
