@@ -9,6 +9,7 @@ success, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,9 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import.  parse_args keeps no
+    # state in the parser, and the help formatter reads the terminal width
+    # each time help is printed, so one parser serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError) as exc:

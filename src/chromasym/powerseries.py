@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .symfun import SymE, e
+from .symfun import SymE, _sum_of_products, e
 
 
 class Series:
@@ -99,16 +99,10 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         a, b = self._pair(other)
-        n = a.trunc
-        out = [SymE.zero()] * (n + 1)
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j in range(n + 1 - i):
-                cj = b.coeffs[j]
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return Series(out, n)
+        left = [(i, c) for i, c in enumerate(a.coeffs) if c]
+        right = b.coeffs
+        return Series([_sum_of_products((c, right[d - i]) for i, c in left if i <= d)
+                       for d in range(a.trunc + 1)], a.trunc)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, SymE)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Iterator, Optional, Sequence
 
-from .partitions import Partition, make_partition, union
+from .partitions import Partition, make_partition
 
 
 def _term_order(lam: Partition) -> tuple:
@@ -102,16 +102,7 @@ class SymE:
             return SymE._raw({lam: c * other for lam, c in self._terms.items()})
         if not isinstance(other, SymE):
             return NotImplemented
-        out: dict[Partition, int] = {}
-        for lam, a in self._terms.items():
-            for mu, b in other._terms.items():
-                key = union(lam, mu)
-                s = out.get(key, 0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SymE._raw(out)
+        return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -190,6 +181,22 @@ class SymE:
 
     def __repr__(self) -> str:
         return f"SymE({self.to_text()})"
+
+
+def _sum_of_products(pairs) -> SymE:
+    """Sum of x * y over the (x, y) pairs of SymE values.
+
+    All products accumulate in one dict and zero coefficients are dropped
+    once at the end, since equality and hashing compare zero-free dicts.
+    """
+    out: dict[Partition, int] = {}
+    get = out.get
+    for x, y in pairs:
+        for lam, a in x._terms.items():
+            for mu, b in y._terms.items():
+                key = tuple(sorted(lam + mu, reverse=True))
+                out[key] = get(key, 0) + a * b
+    return SymE._raw({lam: c for lam, c in out.items() if c})
 
 
 def e(i: int) -> SymE:

@@ -1,11 +1,22 @@
+import contextlib
 import importlib
+import io
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chromasym
+from chromasym import cli
 from chromasym.cli import main
-from chromasym.symfun import SymE
+from chromasym.families import FAMILIES
+from chromasym.symfun import SymE, e
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +200,52 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
+_MEMOS = {"csf": ["_csf_memo"],
+          "symfun": ["_power_sum_lam_memo", "_power_sum_memo"],
+          "families": ["_path_cache", "_cycle_cache", "_leaf_rec_cache",
+                       "_both_rec_cache", "_interior_rec_cache",
+                       "_twin_cycle_rec_cache", "_moose_rec_cache"]}
+
+
+def _memos():
+    return {f"{module}.{name}": getattr(importlib.import_module(f"chromasym.{module}"), name)
+            for module, names in _MEMOS.items() for name in names}
+
+
+def test_clear_caches_empties_every_memo(capsys):
+    argv = ("verify", "--suite", "families", "--max-n", "7", "--json")
+    code, warm, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for name, memo in _memos().items():
+        assert len(memo) > 1, name  # the sweep filled it
+    chromasym.clear_caches()
+    memos = _memos()
+    assert memos.pop("symfun._power_sum_memo") == {1: e(1)}
+    for name, memo in memos.items():
+        assert memo == {}, name
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert cold == warm
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {k: v for k, v in os.environ.items() if k != "CHROMASYM_MAX_N"}
+    env["PYTHONPATH"] = "src"
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "chromasym", *argv],
+                              cwd=Path(__file__).resolve().parents[1], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run("csf", "--graph", "path:3")
+    assert ok.returncode == 0
+    assert ok.stdout == "3*e[3] + e[2,1]\n"
+    bad = run("csf", "--graph", "g:n=3;edges=0-5")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from chromasym.verify import CaseResult
 
@@ -205,3 +262,123 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["csf"])  # missing required --graph
     assert exc.value.code == 2
+
+
+# --- argv fuzzing -----------------------------------------------------------
+
+# mostly ints in -3..12, so that many draws get past argparse
+_INT_OR_NOT = st.sampled_from([str(i) for i in range(-3, 13)]
+                              + ["", "x", "1.5", "-", "1e3", "0x4", "٣"])
+_NAMES = st.sampled_from(list(FAMILIES) + ["twinned-cycle", "twin_path_leaf", "PATH",
+                                        "heptagon", "", "twin-"])
+_SERIES = st.sampled_from(["E", "D", "G", "K", "F1", "F2", "F3", "E_geq", "K_geq",
+                           "G_geq", "G_leq", "path-gf", "cycle_gf", "H", "", "e"])
+_METHODS = st.sampled_from(["all", "identity", "gf", "epos-gf", "epos_gf",
+                            "recurrence", "oracle", ""])
+_PARTITIONS = st.sampled_from(["0", "5", "5,2", "4,1,1", "3,3", "12", "2,2,2,2",
+                               "", "x", "3,-1", "0,1", "1.5", "5,,2"])
+_MALFORMED_GRAPHS = st.sampled_from([
+    "", "path", "path:", "path:x", "path:1.5", "path:3,4,5", "heptagon:9",
+    "twin(path:3", "twin(path:3)", "twin(path:3,x)", "twin(path:3,7)",
+    "g:n=3;edges=0-5", "g:n=3;edges=-1-2", "g:n=3;edges=0-0", "g:edges=0-1",
+    "g:n=x", "g:n=-1", "g:n=3;foo=1", "g:n=3;edges=0-1-2", "g:n=3;edges=0-",
+    "cycle:2", "(", ")",
+])
+
+
+@st.composite
+def _graph_specs(draw):
+    """Graph specs with at most 9 vertices, well formed or not."""
+    kind = draw(st.sampled_from(["family", "twin", "explicit", "malformed"]))
+    if kind == "malformed":
+        return draw(_MALFORMED_GRAPHS)
+    if kind == "explicit":
+        # ends in range except for loops; _MALFORMED_GRAPHS has the rest
+        n = draw(st.integers(min_value=0, max_value=9))
+        ends = st.integers(min_value=0, max_value=max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=6))
+        return f"g:n={n};edges=" + ",".join(f"{a}-{b}" for a, b in edges)
+    # family graphs have at most n + 2 vertices, and a twin adds one more
+    top = 7 if kind == "family" else 6
+    small = st.integers(min_value=-3, max_value=top).map(str)
+    name = draw(_NAMES)
+    params = draw(st.lists(small, min_size=1, max_size=2))
+    spec = f"{name}:{','.join(params)}"
+    if kind == "twin":
+        spec = f"twin({spec},{draw(st.integers(min_value=-1, max_value=9))})"
+    return spec
+
+
+def _flags(draw, options):
+    """Draw flags from (flag, value strategy or None, weight) options.
+
+    A flag is passed when a draw from 0..9 is below its weight, so a
+    required flag (weight 9) is usually present; the order is drawn too.
+    """
+    argv = []
+    for flag, values, weight in draw(st.permutations(options)):
+        if draw(st.integers(min_value=0, max_value=9)) < weight:
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+@st.composite
+def _argvs(draw):
+    # verify is drawn least often: even its smallest run takes tens of ms
+    command = draw(st.sampled_from(["csf", "series", "family", "coeff"] * 2
+                                   + ["verify", "bogus", "--help"]))
+    if command == "csf":
+        options = [("--graph", _graph_specs(), 9), ("--check-colorings", _INT_OR_NOT, 3),
+                   ("--json", None, 3)]
+    elif command == "series":
+        options = [("--name", _SERIES, 9), ("--N", _INT_OR_NOT, 7), ("--k", _INT_OR_NOT, 4),
+                   ("--extract", _INT_OR_NOT, 5), ("--json", None, 3)]
+    elif command == "family":
+        options = [("--name", _NAMES, 9), ("--n", _INT_OR_NOT, 9), ("--ell", _INT_OR_NOT, 5),
+                   ("--method", _METHODS, 5), ("--json", None, 3)]
+    elif command == "coeff":
+        options = [("--family", _NAMES, 9), ("--lambda", _PARTITIONS, 9),
+                   ("--json", None, 3)]
+    elif command == "verify":
+        # --max-n and --max-deg are always small: the defaults make verify slow
+        options = [("--suite", st.sampled_from(["partitions", "series", "families",
+                                                "oracle", "all", "none"]), 9),
+                   ("--max-n", st.integers(min_value=-3, max_value=4).map(str), 10),
+                   ("--max-deg", st.integers(min_value=-3, max_value=4).map(str), 10),
+                   ("--seed", _INT_OR_NOT, 3), ("--json", None, 3)]
+    else:
+        options = []
+    argv = [command] + _flags(draw, options)
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        argv.append(draw(st.sampled_from(["--help", "--bogus", "extra"])))
+    return argv
+
+
+def _call(argv, fresh_parser=False):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if fresh_parser:
+            stack.enter_context(mock.patch.object(cli, "_parser", cli.build_parser))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_argvs(), min_size=1, max_size=3))
+def test_argv_fuzz_exit_codes_and_repeatability(argvs):
+    first = [_call(argv) for argv in argvs]
+    for argv, (code, out, err) in zip(argvs, first):
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in out + err, argv
+    # main() shares one parser between calls: a repeat must print the same
+    # bytes as the first call, and as a call through a parser of its own
+    for argv, result in zip(reversed(argvs), reversed(first)):
+        assert _call(argv) == result, argv
+        assert _call(argv, fresh_parser=True) == result, argv

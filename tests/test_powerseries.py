@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromasym import powerseries as ps
 from chromasym.csf import csf
@@ -137,3 +138,60 @@ def test_scalar_multiplication():
     assert t.extract(2) == e_term((2, 1))
     u = 2 * ps.G(4)
     assert u.extract(3) == e(3) * 4
+
+
+def _pair_product(x, y):
+    """x * y by a plain loop over the term pairs, without SymE.__mul__."""
+    terms = {}
+    for lam, a in x.items():
+        for mu, b in y.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            terms[key] = terms.get(key, 0) + a * b
+    return SymE(terms)
+
+
+def _cauchy_product(a, b):
+    n = min(a.trunc, b.trunc)
+    out = []
+    for d in range(n + 1):
+        acc = SymE.zero()
+        for i in range(d + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[d - i]
+        out.append(acc)
+    return Series(out, n)
+
+
+# few small parts, so that products of different pairs often share a key
+_sparse_syme = st.dictionaries(
+    st.sampled_from([(), (1,), (2,), (1, 1), (3,), (2, 1), (4, 2), (3, 3, 1)]),
+    st.integers(min_value=-3, max_value=3), max_size=4).map(SymE)
+
+
+@st.composite
+def _sparse_series(draw):
+    """Mixed-degree coefficients, empty slots, any truncation up to 7."""
+    trunc = draw(st.integers(min_value=0, max_value=7))
+    slots = st.one_of(st.just(SymE.zero()), _sparse_syme)
+    return Series(draw(st.lists(slots, max_size=trunc + 1)), trunc)
+
+
+@settings(derandomize=True)
+@given(_sparse_series(), _sparse_series(), st.booleans())
+def test_series_mul_matches_cauchy_sum(a, b, cancel):
+    if cancel:
+        # (1 + z) a times (1 - z) b: most pair products cancel in the sum
+        a, b = a + a.shift(1), b - b.shift(1)
+    prod = a * b
+    expected = _cauchy_product(a, b)
+    assert prod == expected
+    assert hash(prod.coeffs) == hash(expected.coeffs)
+    assert prod.trunc == min(a.trunc, b.trunc)
+    for coeff in prod.coeffs:
+        assert all(c != 0 for _, c in coeff.items())
+    for x, y in zip(a.coeffs, b.coeffs):
+        assert x * y == _pair_product(x, y)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_invert_unit_of_denominator(n):
+    assert invert_unit(ps.D(n)) * ps.D(n) == Series.one(n)
