@@ -19,19 +19,13 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every module-level result memo, so the next call computes cold.
 
-    The CLI's shared argument parser is kept: it holds no results.
+    Each memo registers itself when its module is loaded; the CLI's shared
+    argument parser is not a memo and is kept: it holds no results.
     """
-    from .csf import _csf_memo
-    from .families import (_both_rec_cache, _cycle_cache, _interior_rec_cache,
-                           _leaf_rec_cache, _moose_rec_cache, _path_cache,
-                           _twin_cycle_rec_cache)
-    from .symfun import _power_sum_lam_memo, _power_sum_memo
+    from .symfun import _MEMOS
 
-    for memo in (_csf_memo, _power_sum_lam_memo, _power_sum_memo, _path_cache,
-                 _cycle_cache, _leaf_rec_cache, _both_rec_cache,
-                 _interior_rec_cache, _twin_cycle_rec_cache, _moose_rec_cache):
+    for memo in _MEMOS:
         memo.clear()
-    _power_sum_memo[1] = e(1)
 
 
 __all__ = [

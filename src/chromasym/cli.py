@@ -20,6 +20,11 @@ from .symfun import SymE
 
 USAGE_ERROR = 2
 
+# Deepest series --N and family --n the CLI computes: the deepest truncation
+# the benchmark workloads use, past which one call takes seconds and grows
+# fast with the depth.  The library functions themselves are not capped.
+MAX_DEPTH = 36
+
 
 def _print_value(value: SymE, as_json: bool, meta: dict | None = None) -> None:
     if as_json:
@@ -46,6 +51,8 @@ def _cmd_csf(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if not 0 <= args.N <= MAX_DEPTH:
+        raise ValueError(f"--N must be between 0 and {MAX_DEPTH}, got {args.N}")
     series = powerseries.named_series(args.name, args.N, args.k)
     if args.extract is not None:
         value = series.extract(args.extract)
@@ -64,6 +71,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.n > MAX_DEPTH:
+        raise ValueError(f"--n must be <= {MAX_DEPTH}, got {args.n}")
     name = args.name
     if args.method == "all":
         methods = families.methods_for(name)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import os
 
 from .graphs import Graph, add_edge, delete_edge, twin
-from .symfun import SymE, e, power_sum_lambda_to_e
+from .symfun import SymE, _memo, e, power_sum_lambda_to_e
 
 DEFAULT_MAX_VERTICES = 14
 DEFAULT_MAX_EDGES = 20
 
-_csf_memo: dict[tuple[int, tuple], SymE] = {}
+_csf_memo: dict[tuple[int, tuple], SymE] = _memo()
 
 
 def _vertex_bound() -> int:

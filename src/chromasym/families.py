@@ -29,14 +29,36 @@ from . import powerseries as ps
 from .partitions import (Partition, epsilon, epsilon_minus, make_partition,
                          multiplicities, partitions_of, remove_part, support)
 from .powerseries import Series
-from .symfun import SymE, e, e_term
+from .symfun import SymE, _memo, _sum_of_products, e, e_term
 
 # ---------------------------------------------------------------------------
-# paths and cycles
+# the recurrence engine, paths and cycles
 
 
-_path_cache: dict[int, SymE] = {}
-_cycle_cache: dict[int, SymE] = {}
+def _recur(memo: dict, n: int, seeds: Callable[[], dict], first: int, low: int,
+           drive: Callable[[int], SymE]) -> SymE:
+    """X_n of the recurrence X_m = drive(m) + sum_{j=2}^{m-low} (j-1) e_j X_{m-j}
+    for m >= first; seeds() fills an empty memo with the values the rule does
+    not give.
+
+    Every recurrence of the paper has this shape: the sum comes from the
+    shared denominator D = 1 - sum_j (j-1) e_j z^j, and its weights j - 1
+    are nonnegative.
+    """
+    got = memo.get(n)
+    if got is not None:
+        return got
+    if not memo:
+        memo.update(seeds())
+    for m in range(first, n + 1):
+        if m not in memo:
+            memo[m] = drive(m) + _sum_of_products((e_term((j,), j - 1), memo[m - j])
+                                                  for j in range(2, m - low + 1))
+    return memo[n]
+
+
+_path_cache: dict[int, SymE] = _memo()
+_cycle_cache: dict[int, SymE] = _memo()
 
 
 def path_seq(n: int) -> SymE:
@@ -45,39 +67,19 @@ def path_seq(n: int) -> SymE:
     if got is not None:
         return got
     _check_member("path", n)
-    _path_cache.setdefault(0, SymE.one())
-    _path_cache.setdefault(1, e(1))
-    _path_cache.setdefault(2, e(2) * 2)
-    for m in range(3, n + 1):
-        if m in _path_cache:
-            continue
-        acc = e(m) * m
-        for j in range(2, m):
-            acc = acc + e(j) * (j - 1) * _path_cache[m - j]
-        _path_cache.setdefault(m, acc)
-    return _path_cache[n]
+    return _recur(_path_cache, n, lambda: {0: SymE.one()}, 1, 1, lambda m: e(m) * m)
 
 
 def cycle_seq(n: int) -> SymE:
     """X of the n-cycle: n(n-1) e_n + sum_{j=2}^{n-2} (j-1) e_j X_{C_{n-j}}.
 
-    n=1 and n=2 are the pinned conventions 0 and 2e_2.
+    The rule gives the pinned conventions 0 and 2e_2 at n = 1 and 2.
     """
     got = _cycle_cache.get(n)
     if got is not None:
         return got
     _check_member("cycle", n)
-    _cycle_cache.setdefault(1, SymE.zero())
-    _cycle_cache.setdefault(2, e(2) * 2)
-    _cycle_cache.setdefault(3, e(3) * 6)
-    for m in range(4, n + 1):
-        if m in _cycle_cache:
-            continue
-        acc = e(m) * (m * (m - 1))
-        for j in range(2, m - 1):
-            acc = acc + e(j) * (j - 1) * _cycle_cache[m - j]
-        _cycle_cache.setdefault(m, acc)
-    return _cycle_cache[n]
+    return _recur(_cycle_cache, n, dict, 1, 2, lambda m: e(m) * (m * (m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +111,12 @@ def leaf_twin_gf_half_alt(trunc: int) -> Series:
     return ps.path_gf(trunc) * ps.G_geq(3, trunc) + ps.E_geq(2, trunc)
 
 
-_leaf_rec_cache: dict[int, SymE] = {}
+_leaf_rec_cache: dict[int, SymE] = _memo()
 
 
-def _leaf_twin_recurrence(n: int) -> SymE:
-    _leaf_rec_cache.setdefault(1, e(2) * 2)
-    _leaf_rec_cache.setdefault(2, e(3) * 6)
-    _leaf_rec_cache.setdefault(3, e(4) * 8 + e_term((3, 1), 4))
-    for m in range(4, n + 1):
-        if m in _leaf_rec_cache:
-            continue
-        acc = (e(m + 1) * (2 * (m + 1))
-               + e(m) * e(1) * (2 * (m - 1))
-               + e(m - 1) * e(2) * (2 * (m - 3)))
-        for j in range(2, m - 1):
-            acc = acc + e(j) * (j - 1) * _leaf_rec_cache[m - j]
-        _leaf_rec_cache.setdefault(m, acc)
-    return _leaf_rec_cache[n]
+def _leaf_twin_drive(m: int) -> SymE:
+    return (e(m + 1) * (2 * (m + 1)) + e(m) * e(1) * (2 * (m - 1))
+            + e(m - 1) * e(2) * (2 * (m - 3)))
 
 
 def twin_path_leaf(n: int, method: str = "identity") -> SymE:
@@ -137,7 +128,7 @@ def twin_path_leaf(n: int, method: str = "identity") -> SymE:
     if method == "gf":
         return leaf_twin_gf_half(n + 2).extract(n + 1) * 2
     if method == "recurrence":
-        return _leaf_twin_recurrence(n)
+        return _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2}, 2, 2, _leaf_twin_drive)
     raise ValueError(f"leaf twin has no method {method!r}")
 
 
@@ -213,37 +204,21 @@ def both_leaves_gf_quarter_alt(trunc: int) -> Series:
             + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, lambda i: i - 2))
 
 
-_both_rec_cache: dict[int, SymE] = {}
-
-_BOTH_INITIAL = {
-    2: lambda: e(4) * 24,
-    3: lambda: e_term((3, 2), 4) + e_term((4, 1), 12) + e(5) * 20,
-    4: lambda: e_term((3, 3), 24) + e_term((4, 2), 8) + e_term((5, 1), 16) + e(6) * 24,
-    5: lambda: (e_term((3, 3, 1), 16) + e_term((4, 3), 68) + e_term((5, 2), 12)
-                + e_term((6, 1), 20) + e(7) * 28),
-}
+_both_rec_cache: dict[int, SymE] = _memo()
 
 
-def _both_leaves_recurrence(n: int) -> SymE:
-    for m, build in _BOTH_INITIAL.items():
-        _both_rec_cache.setdefault(m, build())
-    for m in range(6, n + 1):
-        if m in _both_rec_cache:
-            continue
-        acc = (e(m + 2) * (4 * (m + 2))
-               + e(m + 1) * e(1) * (4 * m)
-               + e(m - 1) * e(3) * (12 * (m - 2))
-               + e(m - 2) * e(3) * e(1) * (8 * (m - 3))
-               + e(m - 2) * e(4) * (16 * (m - 3)))
-        for j in range(3, m - 2):
-            acc = acc + e(j) * (j - 1) * _both_rec_cache[m - j]
-        bracket = (_both_rec_cache[m - 2]
-                   - e(m) * 8
-                   - e(m - 2) * e(2) * (4 * (m - 4))
-                   - e(m - 1) * e(1) * (4 * (m - 2)))
-        return_val = acc + e(2) * bracket
-        _both_rec_cache.setdefault(m, return_val)
-    return _both_rec_cache[n]
+def _both_leaves_seeds() -> dict[int, SymE]:
+    return {2: e(4) * 24, 3: e_term((3, 2), 4) + e_term((4, 1), 12) + e(5) * 20}
+
+
+def _both_leaves_drive(m: int) -> SymE:
+    return (e(m + 2) * (4 * (m + 2))
+            + e(m + 1) * e(1) * (4 * m)
+            + e(m - 1) * e(3) * (12 * (m - 2))
+            + e(m - 2) * e(3) * e(1) * (8 * (m - 3))
+            + e(m - 2) * e(4) * (16 * (m - 3))
+            - e(2) * (e(m) * 8 + e(m - 2) * e(2) * (4 * (m - 4))
+                      + e(m - 1) * e(1) * (4 * (m - 2))))
 
 
 def twin_path_both(n: int, method: str = "identity") -> SymE:
@@ -258,7 +233,7 @@ def twin_path_both(n: int, method: str = "identity") -> SymE:
     if method == "gf":
         return both_leaves_gf_quarter(n + 3).extract(n + 2) * 4
     if method == "recurrence":
-        return _both_leaves_recurrence(n)
+        return _recur(_both_rec_cache, n, _both_leaves_seeds, 4, 3, _both_leaves_drive)
     raise ValueError(f"both-leaves twin has no method {method!r}")
 
 
@@ -415,32 +390,19 @@ def _interior_identity(n: int, ell: int) -> SymE:
             - p(ell + 1) * p(n - ell) * 2)
 
 
-_interior_rec_cache: dict[tuple[int, int], SymE] = {}
+# one memo per ell, keyed by n
+_interior_rec_cache: dict[int, dict[int, SymE]] = _memo()
 
 
-def _interior_recurrence(n: int, ell: int) -> SymE:
-    # the n >= 4 recurrence is self-starting for each ell; only (3, 2) falls
-    # outside it and is seeded from the six-term identity
-    if (n, ell) == (3, 2):
-        return _interior_identity(3, 2)
-    for m in range(ell + 1, n + 1):
-        if (m, ell) in _interior_rec_cache:
-            continue
-        if (m, ell) == (3, 2):
-            _interior_rec_cache[(3, 2)] = _interior_identity(3, 2)
-            continue
-        acc = e(m + 1) * (4 * (m + 1)) + e(1) * e(m) * (2 * m)
-        for j in range(2, m - ell):
-            acc = acc + e(j) * (j - 1) * _interior_rec_cache[(m - j, ell)]
-        for j in range(m - ell + 2, m):
-            acc = acc + e(1) * e(j) * (2 * (j - 1)) * path_seq(m - j)
-        for j in range(m - ell + 3, m + 1):
-            acc = acc + e(j) * (4 * (j - 1)) * path_seq(m + 1 - j)
-        for j in range(m - ell + 1, m - ell + 3):
-            acc = acc + e(j) * (2 * (j - 2)) * path_seq(m + 1 - j)
-        acc = acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
-        _interior_rec_cache.setdefault((m, ell), acc)
-    return _interior_rec_cache[(n, ell)]
+def _interior_drive(m: int, ell: int) -> SymE:
+    acc = e(m + 1) * (4 * (m + 1)) + e(1) * e(m) * (2 * m)
+    for j in range(m - ell + 2, m):
+        acc = acc + e(1) * e(j) * (2 * (j - 1)) * path_seq(m - j)
+    for j in range(m - ell + 3, m + 1):
+        acc = acc + e(j) * (4 * (j - 1)) * path_seq(m + 1 - j)
+    for j in range(m - ell + 1, m - ell + 3):
+        acc = acc + e(j) * (2 * (j - 2)) * path_seq(m + 1 - j)
+    return acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
 
 
 def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
@@ -454,7 +416,11 @@ def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
     if method == "epos-gf":
         return interior_gf_epos_half(ell, n + 2).extract(n + 1) * 2
     if method == "recurrence":
-        return _interior_recurrence(n, ell)
+        # the rule holds from n = ell + 1 on, except at (3, 2): that one is
+        # seeded from the six-term identity
+        return _recur(_interior_rec_cache.setdefault(ell, {}), n,
+                      lambda: {3: _interior_identity(3, 2)} if ell == 2 else {},
+                      ell + 1, ell + 1, lambda m: _interior_drive(m, ell))
     raise ValueError(f"interior twin has no method {method!r}")
 
 
@@ -533,24 +499,13 @@ def twin_cycle_gf_half(trunc: int) -> Series:
     return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num * inv_d
 
 
-_twin_cycle_rec_cache: dict[int, SymE] = {}
+_twin_cycle_rec_cache: dict[int, SymE] = _memo()
 
 
-def _twin_cycle_recurrence(n: int) -> SymE:
-    _twin_cycle_rec_cache.setdefault(1, e(2) * 2)
-    _twin_cycle_rec_cache.setdefault(2, e(3) * 6)
-    _twin_cycle_rec_cache.setdefault(3, e(4) * 24)
-    _twin_cycle_rec_cache.setdefault(4, e(5) * 50 + e_term((4, 1), 6) + e_term((3, 2), 4))
-    for m in range(5, n + 1):
-        if m in _twin_cycle_rec_cache:
-            continue
-        acc = (e(m + 1) * (2 * (m + 1) * (2 * m - 3))
-               + e(m) * e(1) * (2 * (m - 1) * (m - 3)))
-        for k in range(3, m - 1):
-            acc = acc + e(k) * (k - 1) * _twin_cycle_rec_cache[m - k]
-        acc = acc + e(2) * (_twin_cycle_rec_cache[m - 2] - e(m - 1) * (2 * (m - 3)))
-        _twin_cycle_rec_cache.setdefault(m, acc)
-    return _twin_cycle_rec_cache[n]
+def _twin_cycle_drive(m: int) -> SymE:
+    return (e(m + 1) * (2 * (m + 1) * (2 * m - 3))
+            + e(m) * e(1) * (2 * (m - 1) * (m - 3))
+            - e(2) * e(m - 1) * (2 * (m - 3)))
 
 
 def twin_cycle(n: int, method: str = "identity") -> SymE:
@@ -565,7 +520,8 @@ def twin_cycle(n: int, method: str = "identity") -> SymE:
     if method == "gf":
         return twin_cycle_gf_half(n + 2).extract(n + 1) * 2
     if method == "recurrence":
-        return _twin_cycle_recurrence(n)
+        return _recur(_twin_cycle_rec_cache, n, lambda: {1: e(2) * 2}, 2, 2,
+                      _twin_cycle_drive)
     raise ValueError(f"twinned cycle has no method {method!r}")
 
 
@@ -611,44 +567,32 @@ def twin_cycle_coeff(lam) -> int:
 # moose graphs
 
 
-_moose_rec_cache: dict[int, SymE] = {}
+_moose_rec_cache: dict[int, SymE] = _memo()
 
-_MOOSE_INITIAL = {
-    2: lambda: path_seq(4),
-    3: lambda: (e_term((3, 1, 1), 2) + e_term((3, 2), 2)
-                + e_term((4, 1), 10) + e(5) * 10),
-    4: lambda: (e_term((2, 2, 2), 2) + e_term((3, 2, 1), 2) + e_term((4, 1, 1), 6)
-                + e_term((4, 2), 6) + e_term((5, 1), 22) + e(6) * 18),
-}
+
+def _moose_drive(m: int) -> SymE:
+    return (e(m + 2) * ((m + 2) * (m - 1))
+            + e(1) * e(m + 1) * (2 * (m * m - m - 1))
+            + e_term((1, 1)) * e(m) * ((m - 1) * (m - 2))
+            + e(2) * e(m) * 2)
 
 
 def moose(n: int, method: str = "recurrence") -> SymE:
     """X of the cycle on n vertices with pendant leaves at both ends of one edge.
 
-    n = 2 degenerates to the 4-path.  The recurrence is
+    The recurrence
     sum_{j=2}^{n-2} (j-1) e_j X_{n-j} + (n+2)(n-1) e_{n+2}
-    + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n.
+    + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n
+    holds from n = 2 on, where the graph degenerates to the 4-path.
     """
     _check_member("moose", n)
     if _canon_method(method) != "recurrence":
         raise ValueError(f"moose has no method {method!r}")
-    for m, build in _MOOSE_INITIAL.items():
-        _moose_rec_cache.setdefault(m, build())
-    for m in range(5, n + 1):
-        if m in _moose_rec_cache:
-            continue
-        acc = (e(m + 2) * ((m + 2) * (m - 1))
-               + e(1) * e(m + 1) * (2 * (m * m - m - 1))
-               + e_term((1, 1)) * e(m) * ((m - 1) * (m - 2))
-               + e(2) * e(m) * 2)
-        for j in range(2, m - 1):
-            acc = acc + e(j) * (j - 1) * _moose_rec_cache[m - j]
-        _moose_rec_cache.setdefault(m, acc)
-    return _moose_rec_cache[n]
+    return _recur(_moose_rec_cache, n, dict, 2, 2, _moose_drive)
 
 
 # ---------------------------------------------------------------------------
-# coefficient formulas for paths and cycles, and the special-value table
+# coefficient formulas for paths and cycles
 
 
 def path_cycle_coeff(which: str, lam) -> int:
@@ -662,41 +606,6 @@ def path_cycle_coeff(which: str, lam) -> int:
     if which == "cycle":
         return sum(a * (a - 1) * epsilon_minus(lam, a) for a in support(lam))
     raise ValueError(f"unknown family {which!r}")
-
-
-def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[str]:
-    """Verify the table of special coefficients on computed sequences.
-
-    Returns a list of mismatch descriptions (empty when everything agrees):
-    [e_n] X_{P_n} = n, [e_{n-1}e_1] X_{P_n} = n-2, [e_n] X_{C_n} = n(n-1) for
-    n >= 2; [e_{n-2}e_2] X_{P_n} = 3n-8 and [e_{n-2}e_2] X_{C_n} = n(n-3) for
-    n >= 5; [e_k^r] X_{P_{kr}} = k(k-1)^{r-1} and [e_{k^r}] X_{C_{kr}} =
-    k(k-1)^r; [e_2^2] X_{C_4} = 2.
-    """
-    bad: list[str] = []
-
-    def expect(desc: str, got: int, want: int) -> None:
-        if got != want:
-            bad.append(f"{desc}: got {got}, want {want}")
-
-    for n in range(2, max_n + 1):
-        expect(f"[e_{n}] path({n})", path_seq(n).coefficient((n,)), n)
-        expect(f"[e_{n-1}e_1] path({n})", path_seq(n).coefficient((n - 1, 1)), n - 2)
-        expect(f"[e_{n}] cycle({n})", cycle_seq(n).coefficient((n,)), n * (n - 1))
-    for n in range(5, max_n + 1):
-        expect(f"[e_{n-2}e_2] path({n})", path_seq(n).coefficient((n - 2, 2)), 3 * n - 8)
-        expect(f"[e_{n-2}e_2] cycle({n})", cycle_seq(n).coefficient((n - 2, 2)), n * (n - 3))
-    for k in range(2, max_kr + 1):
-        for r in range(1, max_kr // k + 1):
-            lam = (k,) * r
-            expect(f"[e_({k}^{r})] path({k * r})",
-                   path_seq(k * r).coefficient(lam), k * (k - 1) ** (r - 1))
-            expect(f"[e_({k}^{r})] cycle({k * r})",
-                   cycle_seq(k * r).coefficient(lam), k * (k - 1) ** r)
-    expect("[e_2^2] cycle(4)", cycle_seq(4).coefficient((2, 2)), 2)
-    return bad
-
-
 
 
 # ---------------------------------------------------------------------------

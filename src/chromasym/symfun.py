@@ -225,7 +225,18 @@ def elementary_values(xs: Sequence[int], upto: int) -> list[int]:
     return vals
 
 
-_power_sum_memo: dict[int, SymE] = {1: e(1)}
+_MEMOS: list[dict] = []
+
+
+def _memo() -> dict:
+    """A new, empty module-level result memo, registered so that
+    chromasym.clear_caches() empties it with all the others."""
+    memo: dict = {}
+    _MEMOS.append(memo)
+    return memo
+
+
+_power_sum_memo: dict[int, SymE] = _memo()
 
 
 def power_sum_to_e(n: int) -> SymE:
@@ -239,7 +250,7 @@ def power_sum_to_e(n: int) -> SymE:
     cached = _power_sum_memo.get(n)
     if cached is not None:
         return cached
-    for m in range(2, n + 1):
+    for m in range(1, n + 1):
         if m in _power_sum_memo:
             continue
         acc = e(m) * ((-1) ** (m - 1) * m)
@@ -250,7 +261,7 @@ def power_sum_to_e(n: int) -> SymE:
     return _power_sum_memo[n]
 
 
-_power_sum_lam_memo: dict[Partition, SymE] = {}
+_power_sum_lam_memo: dict[Partition, SymE] = _memo()
 
 
 def power_sum_lambda_to_e(lam) -> SymE:

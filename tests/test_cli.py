@@ -16,7 +16,7 @@ import chromasym
 from chromasym import cli
 from chromasym.cli import main
 from chromasym.families import FAMILIES
-from chromasym.symfun import SymE, e
+from chromasym.symfun import _MEMOS, SymE
 
 
 def run_cli(capsys, *argv):
@@ -200,32 +200,97 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
-_MEMOS = {"csf": ["_csf_memo"],
-          "symfun": ["_power_sum_lam_memo", "_power_sum_memo"],
-          "families": ["_path_cache", "_cycle_cache", "_leaf_rec_cache",
-                       "_both_rec_cache", "_interior_rec_cache",
-                       "_twin_cycle_rec_cache", "_moose_rec_cache"]}
-
-
-def _memos():
-    return {f"{module}.{name}": getattr(importlib.import_module(f"chromasym.{module}"), name)
-            for module, names in _MEMOS.items() for name in names}
-
-
 def test_clear_caches_empties_every_memo(capsys):
     argv = ("verify", "--suite", "families", "--max-n", "7", "--json")
     code, warm, _ = run_cli(capsys, *argv)
     assert code == 0
-    for name, memo in _memos().items():
-        assert len(memo) > 1, name  # the sweep filled it
+    assert all(_MEMOS)  # the sweep filled every registered memo
     chromasym.clear_caches()
-    memos = _memos()
-    assert memos.pop("symfun._power_sum_memo") == {1: e(1)}
-    for name, memo in memos.items():
-        assert memo == {}, name
+    assert not any(_MEMOS)
     code, cold, _ = run_cli(capsys, *argv)
     assert code == 0
     assert cold == warm
+
+
+def _unregistered_growth(capsys) -> list[str]:
+    """Module-level dicts of chromasym.* that grow during a small verify run
+    of every suite but are not registered memos."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "chromasym" or name.startswith("chromasym.")]
+    chromasym.clear_caches()
+    before = {f"{m.__name__}.{attr}": (value, len(value))
+              for m in modules for attr, value in vars(m).items()
+              if isinstance(value, dict) and not attr.startswith("__")}
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "5",
+                         "--max-deg", "6")
+    assert code == 0
+    registered = {id(memo) for memo in _MEMOS}
+    return sorted(name for name, (value, size) in before.items()
+                  if len(value) > size and id(value) not in registered)
+
+
+def test_every_growing_memo_is_registered(capsys):
+    assert _unregistered_growth(capsys) == []
+    chromasym.clear_caches()
+    assert not any(_MEMOS)
+
+
+def test_an_unregistered_memo_fails_the_registry_check(monkeypatch, capsys):
+    families = importlib.import_module("chromasym.families")
+    scratch, path_seq = {}, families.path_seq
+
+    def remembering_path_seq(n):
+        scratch[n] = path_seq(n)
+        return scratch[n]
+
+    monkeypatch.setattr(families, "_scratch_memo", scratch, raising=False)
+    monkeypatch.setattr(families, "path_seq", remembering_path_seq)
+    assert _unregistered_growth(capsys) == ["chromasym.families._scratch_memo"]
+
+
+@pytest.mark.parametrize("suite", ["partitions", "series", "families", "oracle", "all"])
+@pytest.mark.parametrize("flag, floor", [("--max-n", 3), ("--max-deg", 2)])
+def test_verify_bounds_below_the_floor_are_usage_errors(capsys, suite, flag, floor):
+    for value in (-3, floor - 1):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be >= {floor}, got {value}\n"
+
+
+def test_verify_at_the_floors_checks_something_in_every_group(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "3",
+                           "--max-deg", "2", "--json")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert cases
+    for case in cases:
+        assert case["status"] == "pass", case
+        assert case["expected"] != "0 checks", case
+
+
+def test_cli_depth_cap_stops_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("computed past the depth cap")
+
+    monkeypatch.setattr(cli.powerseries, "named_series", no_work)
+    monkeypatch.setattr(cli.families, "family_value", no_work)
+    for argv, flag in ((("series", "--name", "path-gf", "--N", "100000"), "--N"),
+                       (("series", "--name", "path-gf", "--N", "-1"), "--N"),
+                       (("series", "--name", "E", "--N", str(cli.MAX_DEPTH + 1)), "--N"),
+                       (("family", "--name", "twin-cycle", "--n", str(cli.MAX_DEPTH + 1)),
+                        "--n")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be") and str(cli.MAX_DEPTH) in err
+
+
+def test_cli_depth_cap_admits_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "series", "--name", "E", "--N", str(cli.MAX_DEPTH),
+                           "--extract", str(cli.MAX_DEPTH))
+    assert code == 0
+    assert out.strip() == f"e[{cli.MAX_DEPTH}]"
 
 
 def test_python_dash_m_runs_the_cli():

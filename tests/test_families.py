@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+import chromasym
 from chromasym import families as fam
 from chromasym import powerseries as ps
+from chromasym import verify
 from chromasym.csf import csf
 from chromasym.graphs import (cycle, family, moose, path, twin,
                               twin_interior_leaf, twin_path_both,
@@ -34,6 +38,30 @@ def test_gf_extraction_matches_recurrences():
         assert xp.extract(n) == fam.path_seq(n)
         if n >= 1:
             assert xc.extract(n) == fam.cycle_seq(n)
+
+
+def test_recurrences_independent_of_call_order_and_warm_memos():
+    calls = ([("path", n, None) for n in range(0, 21)]
+             + [("cycle", n, None) for n in range(1, 21)]
+             + [("twin-path-leaf", n, None) for n in range(1, 21)]
+             + [("twin-path-both", n, None) for n in range(2, 21)]
+             + [("twin-cycle", n, None) for n in range(1, 21)]
+             + [("twin-path-interior", n, ell) for n in range(3, 17) for ell in range(2, n)])
+    rng = random.Random(2024)
+    xp, xc = ps.path_gf(20), ps.cycle_gf(20)
+
+    def independent(name, n, ell):
+        if name in ("path", "cycle"):
+            return (xp if name == "path" else xc).extract(n)
+        return fam.family_value(name, n, ell, "identity")
+
+    want = {call: independent(*call) for call in calls}
+    chromasym.clear_caches()
+    for _ in ("cold", "warm"):
+        rng.shuffle(calls)
+        for name, n, ell in calls:
+            got = fam.family_value(name, n, ell, "recurrence")
+            assert got == want[name, n, ell], (name, n, ell)
 
 
 # --- leaf twin
@@ -275,7 +303,7 @@ def test_moose_fixture_values():
 
 
 def test_moose_recurrence_reproduces_stored_initial():
-    # the n=4 value is both pinned and derivable from the recurrence
+    # the printed n=4 value is the one the recurrence derives
     m = 4
     acc = (e(m + 2) * ((m + 2) * (m - 1))
            + e(1) * e(m + 1) * (2 * (m * m - m - 1))
@@ -316,7 +344,7 @@ def test_path_cycle_coeff_full_sweep():
 
 
 def test_coeff_specials_clean():
-    assert fam.coeff_specials_check(10, 10) == []
+    assert verify.coeff_specials_check(10, 10) == []
 
 
 def test_coeff_specials_examples():
