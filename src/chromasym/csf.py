@@ -14,8 +14,6 @@ deletion identities.
 
 from __future__ import annotations
 
-import os
-
 from .graphs import Graph, add_edge, delete_edge, twin
 from .symfun import SymE, _memo, e, power_sum_lambda_to_e
 
@@ -23,16 +21,6 @@ DEFAULT_MAX_VERTICES = 14
 DEFAULT_MAX_EDGES = 20
 
 _csf_memo: dict[tuple[int, tuple], SymE] = _memo()
-
-
-def _vertex_bound() -> int:
-    raw = os.environ.get("CHROMASYM_MAX_N")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"CHROMASYM_MAX_N must be an integer, got {raw!r}") from None
-    return DEFAULT_MAX_VERTICES
 
 
 def _bits(mask: int):
@@ -43,16 +31,16 @@ def _bits(mask: int):
         mask ^= bit
 
 
-def csf(g: Graph, max_vertices: int | None = None, max_edges: int = DEFAULT_MAX_EDGES) -> SymE:
+def csf(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES,
+        max_edges: int = DEFAULT_MAX_EDGES) -> SymE:
     """Exact e-expansion of the chromatic symmetric function of g.
 
     Size-guarded by vertices and by edges: the work grows with the connected
     vertex sets of g, up to about 3^n steps, not with 2^{|E|}.  Results are
     memoized by (n, edge set).
     """
-    bound = max_vertices if max_vertices is not None else _vertex_bound()
-    if g.n > bound:
-        raise ValueError(f"graph has {g.n} vertices, oracle bound is {bound}")
+    if g.n > max_vertices:
+        raise ValueError(f"graph has {g.n} vertices, oracle bound is {max_vertices}")
     if len(g.edges) > max_edges:
         raise ValueError(f"graph has {len(g.edges)} edges, oracle bound is {max_edges}")
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import graphs
 from . import powerseries as ps
+from .graphs import Graph, cycle, delete_edge, path, twin
 from .partitions import (Partition, epsilon, epsilon_minus, make_partition,
                          multiplicities, partitions_of, remove_part, support)
 from .powerseries import Series
@@ -121,15 +121,7 @@ def _leaf_twin_drive(m: int) -> SymE:
 
 def twin_path_leaf(n: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at a leaf."""
-    _check_member("twin-path-leaf", n)
-    method = _canon_method(method)
-    if method == "identity":
-        return path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2
-    if method == "gf":
-        return leaf_twin_gf_half(n + 2).extract(n + 1) * 2
-    if method == "recurrence":
-        return _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2}, 2, 2, _leaf_twin_drive)
-    raise ValueError(f"leaf twin has no method {method!r}")
+    return family_value("twin-path-leaf", n, method=method)
 
 
 def twin_path_leaf_coeff(lam) -> int:
@@ -223,18 +215,7 @@ def _both_leaves_drive(m: int) -> SymE:
 
 def twin_path_both(n: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at both leaves."""
-    _check_member("twin-path-both", n)
-    method = _canon_method(method)
-    if n == 2 and method in ("identity", "gf"):
-        return e(4) * 24
-    if method == "identity":
-        return (path_seq(n + 2) - e(2) * path_seq(n) * 2
-                + e_term((2, 2)) * path_seq(n - 2)) * 4
-    if method == "gf":
-        return both_leaves_gf_quarter(n + 3).extract(n + 2) * 4
-    if method == "recurrence":
-        return _recur(_both_rec_cache, n, _both_leaves_seeds, 4, 3, _both_leaves_drive)
-    raise ValueError(f"both-leaves twin has no method {method!r}")
+    return family_value("twin-path-both", n, method=method)
 
 
 def _is_two_threes_then_twos(lam: Partition) -> bool:
@@ -285,6 +266,12 @@ def twin_path_both_coeff(lam) -> Optional[int]:
 # path twinned at an interior vertex
 
 
+def _path_terms(degrees: range, trunc: int) -> Series:
+    """sum_{j in degrees} X_{P_j} z^j, truncated."""
+    return Series([path_seq(j) if j in degrees else SymE.zero() for j in range(trunc + 1)],
+                  trunc)
+
+
 def f_poly(ell: int, trunc: int) -> Series:
     """2 + e_1 z - X_{P_{ell-1}} z^{ell-1} (1 - e_2 z^2) - X_{P_ell} z^ell
     - X_{P_{ell+1}} z^{ell+1}; degree ell+1 in z."""
@@ -317,12 +304,8 @@ def g_poly(ell: int, trunc: int) -> Series:
     - (X_{P_{ell+1}} - e_2 X_{P_{ell-1}}) z^{ell+1}."""
     if ell < 2:
         raise ValueError("g polynomial needs ell >= 2")
-    head = Series.zero(trunc)
-    for j in range(0, ell + 1):
-        head = head + Series.monomial(path_seq(j), j, trunc)
-    short = Series.zero(trunc)
-    for j in range(0, ell - 1):
-        short = short + Series.monomial(path_seq(j), j, trunc)
+    head = _path_terms(range(0, ell + 1), trunc)
+    short = _path_terms(range(0, ell - 1), trunc)
     one_e1z = Series.one(trunc) + Series.monomial(e(1), 1, trunc)
     tail = Series.monomial(path_seq(ell + 1) - e(2) * path_seq(ell - 1), ell + 1, trunc)
     return -head - one_e1z * short - tail
@@ -356,28 +339,21 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     if ell < 2:
         raise ValueError("interior twin needs ell >= 2")
     xp = ps.path_gf(trunc)
-    path_head = Series.zero(trunc)  # sum_{i=0}^{ell-2} X_{P_i} z^i
-    for i in range(0, ell - 1):
-        path_head = path_head + Series.monomial(path_seq(i), i, trunc)
-
-    inner = Series.zero(trunc)  # sum_{i=1}^{ell-2} X_{P_i} z^i
-    for i in range(1, ell - 1):
-        inner = inner + Series.monomial(path_seq(i), i, trunc)
-    acc = Series.monomial(e(ell + 1) * ell, ell + 1, trunc) * inner
-
+    path_head = _path_terms(range(0, ell - 1), trunc)
+    acc = Series.monomial(e(ell + 1) * ell, ell + 1, trunc) * _path_terms(range(1, ell - 1), trunc)
     for i in range(3, ell + 1):
-        stair = Series.zero(trunc)
-        for j in range(0, i - 3):
-            stair = stair + Series.monomial(path_seq(ell - 2 - j), ell - 2 - j, trunc)
+        stair = _path_terms(range(ell - i + 2, ell - 1), trunc)
         acc = acc + Series.monomial(e(i) * (i - 1), i, trunc) * stair
 
     acc = acc + ps.E_geq(ell + 2, trunc)
     acc = acc + ps.E_geq(ell + 2, trunc) * path_head
     acc = acc + (xp - path_head) * ps.e_weighted(trunc, 2, lambda i: i - 2, hi=ell + 1)
-    acc = acc + xp * ps.G_geq(ell + 2, trunc) * 2
+    # path_gf times 2 G_{>=ell+2} + sum_{i=1}^{ell-2} G_{>=ell+2-i} X_{P_i} z^i:
+    # the e-positive cofactors are summed first, so path_gf is multiplied once
+    cofactor = ps.G_geq(ell + 2, trunc) * 2
     for i in range(1, ell - 1):
-        acc = acc + xp * ps.G_geq(ell + 2 - i, trunc) * Series.monomial(path_seq(i), i, trunc)
-    return acc
+        cofactor = cofactor + Series.monomial(path_seq(i), i, trunc) * ps.G_geq(ell + 2 - i, trunc)
+    return acc + xp * cofactor
 
 
 def _interior_identity(n: int, ell: int) -> SymE:
@@ -405,30 +381,23 @@ def _interior_drive(m: int, ell: int) -> SymE:
     return acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
 
 
+def _interior_recurrence(n: int, ell: int) -> SymE:
+    # the rule holds from n = ell + 1 on, except at (3, 2): that one is
+    # seeded from the six-term identity
+    return _recur(_interior_rec_cache.setdefault(ell, {}), n,
+                  lambda: {3: _interior_identity(3, 2)} if ell == 2 else {},
+                  ell + 1, ell + 1, lambda m: _interior_drive(m, ell))
+
+
 def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at interior position ell (1-based)."""
-    _check_member("twin-path-interior", n, ell)
-    method = _canon_method(method)
-    if method == "identity":
-        return _interior_identity(n, ell)
-    if method == "gf":
-        return interior_gf(ell, n + 2).extract(n + 1)
-    if method == "epos-gf":
-        return interior_gf_epos_half(ell, n + 2).extract(n + 1) * 2
-    if method == "recurrence":
-        # the rule holds from n = ell + 1 on, except at (3, 2): that one is
-        # seeded from the six-term identity
-        return _recur(_interior_rec_cache.setdefault(ell, {}), n,
-                      lambda: {3: _interior_identity(3, 2)} if ell == 2 else {},
-                      ell + 1, ell + 1, lambda m: _interior_drive(m, ell))
-    raise ValueError(f"interior twin has no method {method!r}")
+    return family_value("twin-path-interior", n, ell, method)
 
 
 def twin_interior_then_leaf(n: int, ell: int) -> SymE:
     """X of the n-path twinned at interior position ell and then at the leaf n:
     2 (X_{n+1,ell} - e_2 X_{n-1,ell})."""
-    _check_member("twin-interior-leaf", n, ell)
-    return (twin_path_interior(n + 1, ell) - e(2) * twin_path_interior(n - 1, ell)) * 2
+    return family_value("twin-interior-leaf", n, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +407,23 @@ def twin_interior_then_leaf(n: int, ell: int) -> SymE:
 def flagpole_seq(n: int, ell: int) -> SymE:
     """X of the path with a pendant at position ell:
     X_{P_{n+1}} + e_1 X_{P_n} - X_{P_ell} X_{P_{n-ell+1}}."""
-    _check_member("flagpole", n, ell)
-    return path_seq(n + 1) + e(1) * path_seq(n) - path_seq(ell) * path_seq(n - ell + 1)
+    return family_value("flagpole", n, ell)
 
 
 def triangle_path_seq(n: int, ell: int) -> SymE:
     """X of the path with a triangle vertex over positions ell, ell+1:
     X_{F_{n,ell}} + X_{P_{n+1}} - X_{P_{ell+1}} X_{P_{n-ell}}."""
-    _check_member("triangle-path", n, ell)
-    return flagpole_seq(n, ell) + path_seq(n + 1) - path_seq(ell + 1) * path_seq(n - ell)
+    return family_value("triangle-path", n, ell)
 
 
 def dgraph_seq(n: int) -> SymE:
     """X of the once-deleted twinned cycle: 2 X_{C_{n+1}} + e_1 X_{C_n} - 2 X_{P_{n+1}}."""
-    _check_member("dgraph", n)
-    return cycle_seq(n + 1) * 2 + e(1) * cycle_seq(n) - path_seq(n + 1) * 2
+    return family_value("dgraph", n)
 
 
 def tadpole_seq(n: int) -> SymE:
     """X of the cycle with one pendant: X_{C_{n+1}} + e_1 X_{C_n} - X_{P_{n+1}}."""
-    _check_member("tadpole", n)
-    return cycle_seq(n + 1) + e(1) * cycle_seq(n) - path_seq(n + 1)
+    return family_value("tadpole", n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +464,11 @@ def twin_cycle_gf_half(trunc: int) -> Series:
     return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num * inv_d
 
 
+def _twin_cycle_pinned(n: int) -> SymE:
+    # the conventions X_{C_{1,v}} = 2e_2 and X_{C_{2,v}} = 6e_3
+    return e(2) * 2 if n == 1 else e(3) * 6
+
+
 _twin_cycle_rec_cache: dict[int, SymE] = _memo()
 
 
@@ -510,19 +480,7 @@ def _twin_cycle_drive(m: int) -> SymE:
 
 def twin_cycle(n: int, method: str = "identity") -> SymE:
     """X of the n-cycle twinned at a vertex; n = 1, 2 are pinned conventions."""
-    _check_member("twin-cycle", n)
-    method = _canon_method(method)
-    if n <= 2 and method in ("identity", "gf"):
-        return e(2) * 2 if n == 1 else e(3) * 6
-    if method == "identity":
-        return (cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
-                - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2)
-    if method == "gf":
-        return twin_cycle_gf_half(n + 2).extract(n + 1) * 2
-    if method == "recurrence":
-        return _recur(_twin_cycle_rec_cache, n, lambda: {1: e(2) * 2}, 2, 2,
-                      _twin_cycle_drive)
-    raise ValueError(f"twinned cycle has no method {method!r}")
+    return family_value("twin-cycle", n, method=method)
 
 
 def twin_cycle_coeff(lam) -> int:
@@ -585,10 +543,7 @@ def moose(n: int, method: str = "recurrence") -> SymE:
     + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n
     holds from n = 2 on, where the graph degenerates to the 4-path.
     """
-    _check_member("moose", n)
-    if _canon_method(method) != "recurrence":
-        raise ValueError(f"moose has no method {method!r}")
-    return _recur(_moose_rec_cache, n, dict, 2, 2, _moose_drive)
+    return family_value("moose", n, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +564,8 @@ def path_cycle_coeff(which: str, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the family table: value and coefficient dispatch, the verify sweeps and the
-# CLI help all derive from it
+# the family table: graph construction, value and coefficient dispatch, the
+# verify sweeps and the CLI help all derive from it
 
 
 def _canon_method(method: str) -> str:
@@ -622,16 +577,18 @@ class FamilySpec:
     """One graph family: its graph, its value routes and where they apply.
 
     The members are n >= min_n and, for the two-parameter families, ell in
-    ells(n); a member's graph graph(n[, ell]) has n + extra vertices.  Below
+    ells(n).  graph(n, ell) builds a member's graph on n + extra vertices
+    from the primitives of graphs: the spine is 0..n-1, added vertices are
+    appended in order, and ell is a 1-based spine position.  Below
     pinned_below the value is a pinned convention that no simple graph
-    realizes.  value(n, ell, method) computes a member by one of methods, the
-    first being the default.  coeff(lam) is the printed coefficient formula,
-    and e_positive marks the families the paper claims e-positive.
+    realizes.  routes maps each method to the f(n, ell) that computes a
+    member, the first being the default.  coeff(lam) is the printed
+    coefficient formula, and e_positive marks the families the paper claims
+    e-positive.
     """
 
-    graph: Callable[..., graphs.Graph]
-    methods: tuple[str, ...]
-    value: Callable[[int, Optional[int], str], SymE]
+    graph: Callable[[int, Optional[int]], Graph]
+    routes: dict[str, Callable[[int, Optional[int]], SymE]]
     min_n: int
     extra: int
     ells: Optional[Callable[[int], range]] = None
@@ -657,53 +614,99 @@ class FamilySpec:
 # stars among the flagpoles are genuine counterexamples.
 FAMILIES: dict[str, FamilySpec] = {
     "path": FamilySpec(
-        graphs.path, ("recurrence", "gf"),
-        lambda n, ell, m: path_seq(n) if m == "recurrence" else ps.path_gf(n).extract(n),
+        lambda n, ell: path(n),
+        {"recurrence": lambda n, ell: path_seq(n),
+         "gf": lambda n, ell: ps.path_gf(n).extract(n)},
         min_n=0, extra=0, coeff=lambda lam: path_cycle_coeff("path", lam),
         e_positive=True),
     "cycle": FamilySpec(
-        graphs.cycle, ("recurrence", "gf"),
-        lambda n, ell, m: cycle_seq(n) if m == "recurrence" else ps.cycle_gf(n).extract(n),
+        lambda n, ell: cycle(n),
+        {"recurrence": lambda n, ell: cycle_seq(n),
+         "gf": lambda n, ell: ps.cycle_gf(n).extract(n)},
         min_n=1, extra=0, pinned_below=3,
         coeff=lambda lam: path_cycle_coeff("cycle", lam), e_positive=True),
+    # the clone n of the leaf n-1 (of the only vertex when n = 1)
     "twin-path-leaf": FamilySpec(
-        graphs.twin_path_leaf, ("identity", "gf", "recurrence"),
-        lambda n, ell, m: twin_path_leaf(n, m), min_n=1, extra=1,
-        coeff=lambda lam: twin_path_leaf_coeff(lam), e_positive=True),
+        lambda n, ell: twin(path(n), n - 1),
+        {"identity": lambda n, ell: path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2,
+         "gf": lambda n, ell: leaf_twin_gf_half(n + 2).extract(n + 1) * 2,
+         "recurrence": lambda n, ell: _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2},
+                                             2, 2, _leaf_twin_drive)},
+        min_n=1, extra=1, coeff=lambda lam: twin_path_leaf_coeff(lam), e_positive=True),
+    # the clone n of 0, then the clone n+1 of n-1; the identity and the gf
+    # start at n = 3, so n = 2 (K_4) is pinned for them
     "twin-path-both": FamilySpec(
-        graphs.twin_path_both, ("identity", "gf", "recurrence"),
-        lambda n, ell, m: twin_path_both(n, m), min_n=2, extra=2,
-        coeff=lambda lam: twin_path_both_coeff(lam), e_positive=True),
+        lambda n, ell: twin(twin(path(n), 0), n - 1),
+        {"identity": lambda n, ell: e(4) * 24 if n == 2 else (
+            path_seq(n + 2) - e(2) * path_seq(n) * 2
+            + e_term((2, 2)) * path_seq(n - 2)) * 4,
+         "gf": lambda n, ell: e(4) * 24 if n == 2 else (
+             both_leaves_gf_quarter(n + 3).extract(n + 2) * 4),
+         "recurrence": lambda n, ell: _recur(_both_rec_cache, n, _both_leaves_seeds,
+                                             4, 3, _both_leaves_drive)},
+        min_n=2, extra=2, coeff=lambda lam: twin_path_both_coeff(lam), e_positive=True),
+    # the clone n of spine position ell
     "twin-path-interior": FamilySpec(
-        graphs.twin_path_interior, ("identity", "gf", "epos-gf", "recurrence"),
-        lambda n, ell, m: twin_path_interior(n, ell, m), min_n=3, extra=1,
-        ells=lambda n: range(2, n), e_positive=True),
+        lambda n, ell: twin(path(n), ell - 1),
+        {"identity": lambda n, ell: _interior_identity(n, ell),
+         "gf": lambda n, ell: interior_gf(ell, n + 2).extract(n + 1),
+         "epos-gf": lambda n, ell: interior_gf_epos_half(ell, n + 2).extract(n + 1) * 2,
+         "recurrence": lambda n, ell: _interior_recurrence(n, ell)},
+        min_n=3, extra=1, ells=lambda n: range(2, n), e_positive=True),
+    # the clone n of spine position ell, then the clone n+1 of the leaf n-1
     "twin-interior-leaf": FamilySpec(
-        graphs.twin_interior_leaf, ("identity",),
-        lambda n, ell, m: twin_interior_then_leaf(n, ell), min_n=4, extra=2,
-        ells=lambda n: range(2, n - 1), e_positive=True),
+        lambda n, ell: twin(twin(path(n), ell - 1), n - 1),
+        {"identity": lambda n, ell: (twin_path_interior(n + 1, ell)
+                                     - e(2) * twin_path_interior(n - 1, ell)) * 2},
+        min_n=4, extra=2, ells=lambda n: range(2, n - 1), e_positive=True),
+    # the clone n of 0
     "twin-cycle": FamilySpec(
-        graphs.twin_cycle, ("identity", "gf", "recurrence"),
-        lambda n, ell, m: twin_cycle(n, m), min_n=1, extra=1, pinned_below=3,
-        coeff=lambda lam: twin_cycle_coeff(lam), e_positive=True),
+        lambda n, ell: twin(cycle(n), 0),
+        {"identity": lambda n, ell: _twin_cycle_pinned(n) if n <= 2 else (
+            cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
+            - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2),
+         "gf": lambda n, ell: _twin_cycle_pinned(n) if n <= 2 else (
+             twin_cycle_gf_half(n + 2).extract(n + 1) * 2),
+         "recurrence": lambda n, ell: _recur(_twin_cycle_rec_cache, n,
+                                             lambda: {1: e(2) * 2}, 2, 2, _twin_cycle_drive)},
+        min_n=1, extra=1, pinned_below=3, coeff=lambda lam: twin_cycle_coeff(lam),
+        e_positive=True),
+    # leaf n hangs from 0 and leaf n+1 from 1; at n = 2 the cycle degenerates
+    # to the edge 0-1 and the graph is the 4-path
     "moose": FamilySpec(
-        graphs.moose, ("recurrence",), lambda n, ell, m: moose(n, m),
+        lambda n, ell: Graph(n + 2, [*(cycle(n) if n > 2 else path(2)).edges,
+                                     (0, n), (1, n + 1)]),
+        {"recurrence": lambda n, ell: _recur(_moose_rec_cache, n, dict, 2, 2, _moose_drive)},
         min_n=2, extra=2, e_positive=True),
+    # the pendant n at spine position ell
     "flagpole": FamilySpec(
-        graphs.flagpole, ("identity",), lambda n, ell, m: flagpole_seq(n, ell),
+        lambda n, ell: Graph(n + 1, [*path(n).edges, (ell - 1, n)]),
+        {"identity": lambda n, ell: (path_seq(n + 1) + e(1) * path_seq(n)
+                                     - path_seq(ell) * path_seq(n - ell + 1))},
         min_n=1, extra=1, ells=lambda n: range(1, n + 1)),
+    # the vertex n over spine positions ell and ell+1
     "triangle-path": FamilySpec(
-        graphs.triangle_path, ("identity",), lambda n, ell, m: triangle_path_seq(n, ell),
+        lambda n, ell: Graph(n + 1, [*path(n).edges, (ell - 1, n), (ell, n)]),
+        {"identity": lambda n, ell: (flagpole_seq(n, ell) + path_seq(n + 1)
+                                     - path_seq(ell + 1) * path_seq(n - ell))},
         min_n=2, extra=1, ells=lambda n: range(1, n)),
+    # the twinned cycle without the spine edge 0-(n-1)
     "dgraph": FamilySpec(
-        graphs.dgraph, ("identity",), lambda n, ell, m: dgraph_seq(n), min_n=3, extra=1),
+        lambda n, ell: delete_edge(twin(cycle(n), 0), 0, n - 1),
+        {"identity": lambda n, ell: (cycle_seq(n + 1) * 2 + e(1) * cycle_seq(n)
+                                     - path_seq(n + 1) * 2)},
+        min_n=3, extra=1),
+    # the dgraph without the clone edge 0-n: the cycle 1..n with the pendant 0 at 1
     "tadpole": FamilySpec(
-        graphs.tadpole, ("identity",), lambda n, ell, m: tadpole_seq(n), min_n=3, extra=1),
+        lambda n, ell: delete_edge(delete_edge(twin(cycle(n), 0), 0, n - 1), 0, n),
+        {"identity": lambda n, ell: cycle_seq(n + 1) + e(1) * cycle_seq(n) - path_seq(n + 1)},
+        min_n=3, extra=1),
 }
 
 
 def _check_member(name: str, n: int, ell: Optional[int] = None) -> None:
-    # the route functions share the table's domain and its messages
+    # the path and cycle memo entry points check on a miss, with the table's
+    # domain and messages
     FAMILIES[name].check(name, n, ell)
 
 
@@ -720,18 +723,23 @@ def family_spec(name: str) -> FamilySpec:
 
 def methods_for(name: str) -> tuple[str, ...]:
     """The computation routes available for a family tag."""
-    return family_spec(name).methods
+    return tuple(family_spec(name).routes)
 
 
 def family_value(name: str, n: int, ell: Optional[int] = None,
                  method: Optional[str] = None) -> SymE:
-    """Value dispatcher for the CLI: one family tag, one n (and ell), one method."""
+    """Value dispatcher: one family tag, one n (and ell), one method.
+
+    The CLI and every public route function come through here, so the domain
+    check and the method lookup happen in one place.
+    """
     spec = family_spec(name)
     spec.check(name, n, ell)
-    method = _canon_method(method) if method else spec.methods[0]
-    if method not in spec.methods:
+    method = _canon_method(method) if method else next(iter(spec.routes))
+    route = spec.routes.get(method)
+    if route is None:
         raise ValueError(f"family {name!r} has no method {method!r}")
-    return spec.value(n, ell, method)
+    return route(n, ell)
 
 
 def coeff_value(name: str, lam) -> Optional[int]:

@@ -1,10 +1,11 @@
-"""Simple labeled graphs and the constructions the family formulas are about.
+"""Simple labeled graphs and the primitives the family graphs are built from.
 
-Vertices are dense integers 0..n-1.  Family constructors keep a documented,
-deterministic labeling: the path or cycle spine is always 0..n-1 and added
-vertices are appended in definition order, so tests can name the twinned
-vertex unambiguously.  Positions inside a spine are 1-based to match the
-usual combinatorial indexing of path vertices.
+Vertices are dense integers 0..n-1.  twin appends the clone as vertex n, so
+the family graphs (each built by its entry in families.FAMILIES and reached
+through family) keep a documented, deterministic labeling: the path or cycle
+spine is always 0..n-1 and added vertices are appended in definition order,
+so tests can name the twinned vertex unambiguously.  Positions inside a
+spine are 1-based to match the usual combinatorial indexing of path vertices.
 """
 
 from __future__ import annotations
@@ -122,91 +123,14 @@ def triangles(g: Graph):
                 yield (a, b, c)
 
 
-def flagpole(n: int, ell: int) -> Graph:
-    """Path 0..n-1 plus a pendant vertex n attached at spine position ell (1-based)."""
-    if n < 1 or not 1 <= ell <= n:
-        raise ValueError(f"flagpole needs n >= 1 and 1 <= ell <= n, got ({n}, {ell})")
-    return Graph(n + 1, list(path(n).edges) + [(ell - 1, n)])
-
-
-def triangle_path(n: int, ell: int) -> Graph:
-    """Path 0..n-1 plus a vertex n adjacent to spine positions ell and ell+1 (1-based)."""
-    if n < 2 or not 1 <= ell <= n - 1:
-        raise ValueError(f"triangle_path needs n >= 2 and 1 <= ell <= n-1, got ({n}, {ell})")
-    return Graph(n + 1, list(path(n).edges) + [(ell - 1, n), (ell, n)])
-
-
-def twin_path_leaf(n: int) -> Graph:
-    """Path on n vertices twinned at the leaf n-1 (at the only vertex when n=1)."""
-    if n < 1:
-        raise ValueError("twin_path_leaf needs n >= 1")
-    return twin(path(n), n - 1)
-
-
-def twin_path_both(n: int) -> Graph:
-    """Path on n >= 2 vertices twinned at both leaves (clone of 0 first, then of n-1)."""
-    if n < 2:
-        raise ValueError("twin_path_both needs n >= 2")
-    return twin(twin(path(n), 0), n - 1)
-
-
-def twin_path_interior(n: int, ell: int) -> Graph:
-    """Path on n vertices twinned at interior spine position ell (1-based, 2 <= ell <= n-1)."""
-    if not 2 <= ell <= n - 1:
-        raise ValueError(f"interior twin needs 2 <= ell <= n-1, got ({n}, {ell})")
-    return twin(path(n), ell - 1)
-
-
-def twin_interior_leaf(n: int, ell: int) -> Graph:
-    """Path twinned at interior position ell, then at the leaf n (1-based)."""
-    if n < 4 or not 2 <= ell <= n - 2:
-        raise ValueError(f"interior+leaf twin needs n >= 4 and 2 <= ell <= n-2, got ({n}, {ell})")
-    return twin(twin(path(n), ell - 1), n - 1)
-
-
-def twin_cycle(n: int) -> Graph:
-    """Cycle on n >= 3 vertices twinned at vertex 0."""
-    return twin(cycle(n), 0)
-
-
-def dgraph(n: int) -> Graph:
-    """Twinned cycle with one of the two spine edges at the twinned vertex removed.
-
-    Concretely: twin(cycle(n), 0) minus the edge 0-(n-1); n+1 vertices.
-    """
-    if n < 3:
-        raise ValueError("dgraph needs n >= 3")
-    return delete_edge(twin_cycle(n), 0, n - 1)
-
-
-def tadpole(n: int) -> Graph:
-    """Cycle on n vertices with one pendant vertex; built by removing a second
-    edge (the clone edge 0-n) from dgraph(n)."""
-    if n < 3:
-        raise ValueError("tadpole needs n >= 3")
-    return delete_edge(dgraph(n), 0, n)
-
-
-def moose(n: int) -> Graph:
-    """Cycle on n vertices with pendant leaves on the adjacent vertices 0 and 1.
-
-    n+2 vertices; leaf n hangs from 0, leaf n+1 from 1.  For n=2 the cycle
-    degenerates to a single edge and the graph is a 4-vertex path.
-    """
-    if n < 2:
-        raise ValueError("moose needs n >= 2")
-    if n == 2:
-        return Graph(4, [(0, 1), (0, 2), (1, 3)])
-    return Graph(n + 2, list(cycle(n).edges) + [(0, n), (1, n + 1)])
-
-
 def family(name: str, n: int, ell: Optional[int] = None) -> Graph:
-    """Named family constructor; ell is required exactly for the two-parameter families."""
+    """The graph of a family member, built by its entry in families.FAMILIES;
+    ell is required exactly for the two-parameter families."""
     # deferred: the family table lives in families, which imports this module
     from .families import family_spec
     spec = family_spec(name)
     spec.check(name, n, ell)
-    return spec.graph(n) if ell is None else spec.graph(n, ell)
+    return spec.graph(n, ell)
 
 
 def parse_graph(text: str) -> Graph:

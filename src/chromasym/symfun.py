@@ -253,10 +253,8 @@ def power_sum_to_e(n: int) -> SymE:
     for m in range(1, n + 1):
         if m in _power_sum_memo:
             continue
-        acc = e(m) * ((-1) ** (m - 1) * m)
-        for i in range(1, m):
-            term = e(i) * _power_sum_memo[m - i]
-            acc = acc + term * ((-1) ** (i - 1))
+        acc = e(m) * ((-1) ** (m - 1) * m) + _sum_of_products(
+            (e_term((i,), (-1) ** (i - 1)), _power_sum_memo[m - i]) for i in range(1, m))
         _power_sum_memo.setdefault(m, acc)
     return _power_sum_memo[n]
 

@@ -54,9 +54,6 @@ class Collector:
     def group(self, case: str):
         return _Group(self, case)
 
-    def extend(self, other: "Collector") -> None:
-        self.results.extend(other.results)
-
 
 class _Group:
     def __init__(self, collector: Collector, case: str):
@@ -353,8 +350,9 @@ def family_instances(max_vertices: int = 9):
                 label = f"{name}:n={n}" if ell is None else f"{name}:n={n},ell={ell}"
                 graph = graphs.family(name, n, ell) if n >= spec.pinned_below else None
                 yield (label, graph,
-                       {m: (lambda n=n, ell=ell, m=m, value=spec.value: value(n, ell, m))
-                        for m in spec.methods})
+                       {m: (lambda name=name, n=n, ell=ell, m=m:
+                            fam.family_value(name, n, ell, m))
+                        for m in spec.routes})
 
 
 def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
@@ -541,55 +539,42 @@ def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResu
 # oracle checks
 
 
-def _fixture_rows():
-    T = e_term
-    rows = [
-        ("path:1", graphs.path(1), lambda: fam.path_seq(1), e(1)),
-        ("path:2", graphs.path(2), lambda: fam.path_seq(2), e(2) * 2),
-        ("path:3", graphs.path(3), lambda: fam.path_seq(3), T((2, 1)) + e(3) * 3),
-        ("cycle:2", None, lambda: fam.cycle_seq(2), e(2) * 2),
-        ("cycle:3", graphs.cycle(3), lambda: fam.cycle_seq(3), e(3) * 6),
-        ("twin-path-leaf:1", graphs.twin_path_leaf(1),
-         lambda: fam.twin_path_leaf(1), e(2) * 2),
-        ("twin-path-leaf:2", graphs.twin_path_leaf(2),
-         lambda: fam.twin_path_leaf(2), e(3) * 6),
-        ("twin-path-leaf:3", graphs.twin_path_leaf(3),
-         lambda: fam.twin_path_leaf(3), e(4) * 8 + T((3, 1), 4)),
-        ("twin-path-leaf:4", graphs.twin_path_leaf(4),
-         lambda: fam.twin_path_leaf(4), T((3, 2), 8) + T((4, 1), 6) + e(5) * 10),
-        ("twin-path-both:2", graphs.twin_path_both(2),
-         lambda: fam.twin_path_both(2), e(4) * 24),
-        ("twin-path-both:3", graphs.twin_path_both(3),
-         lambda: fam.twin_path_both(3), T((3, 2), 4) + T((4, 1), 12) + e(5) * 20),
-        ("twin-path-both:4", graphs.twin_path_both(4),
-         lambda: fam.twin_path_both(4),
-         T((3, 3), 24) + T((4, 2), 8) + T((5, 1), 16) + e(6) * 24),
-        ("twin-path-both:5", graphs.twin_path_both(5),
-         lambda: fam.twin_path_both(5),
-         T((3, 3, 1), 16) + T((4, 3), 68) + T((5, 2), 12) + T((6, 1), 20) + e(7) * 28),
-        ("twin-cycle:1", None, lambda: fam.twin_cycle(1), e(2) * 2),
-        ("twin-cycle:2", None, lambda: fam.twin_cycle(2), e(3) * 6),
-        ("twin-cycle:3", graphs.twin_cycle(3), lambda: fam.twin_cycle(3), e(4) * 24),
-        ("twin-cycle:4", graphs.twin_cycle(4), lambda: fam.twin_cycle(4),
-         e(5) * 50 + T((4, 1), 6) + T((3, 2), 4)),
-        ("moose:2", graphs.moose(2), lambda: fam.moose(2),
-         T((2, 2), 2) + T((3, 1), 2) + e(4) * 4),
-        ("moose:3", graphs.moose(3), lambda: fam.moose(3),
-         T((3, 1, 1), 2) + T((3, 2), 2) + T((4, 1), 10) + e(5) * 10),
-        ("moose:4", graphs.moose(4), lambda: fam.moose(4),
-         T((2, 2, 2), 2) + T((3, 2, 1), 2) + T((4, 1, 1), 6) + T((4, 2), 6)
-         + T((5, 1), 22) + e(6) * 18),
-    ]
-    return rows
+# the printed small values, (family, n) -> X; members below the family's
+# pinned_below have no graph and are checked against the family route only
+FIXTURES = {
+    ("path", 1): e(1),
+    ("path", 2): e(2) * 2,
+    ("path", 3): e_term((2, 1)) + e(3) * 3,
+    ("cycle", 2): e(2) * 2,
+    ("cycle", 3): e(3) * 6,
+    ("twin-path-leaf", 1): e(2) * 2,
+    ("twin-path-leaf", 2): e(3) * 6,
+    ("twin-path-leaf", 3): e(4) * 8 + e_term((3, 1), 4),
+    ("twin-path-leaf", 4): e_term((3, 2), 8) + e_term((4, 1), 6) + e(5) * 10,
+    ("twin-path-both", 2): e(4) * 24,
+    ("twin-path-both", 3): e_term((3, 2), 4) + e_term((4, 1), 12) + e(5) * 20,
+    ("twin-path-both", 4): (e_term((3, 3), 24) + e_term((4, 2), 8) + e_term((5, 1), 16)
+                            + e(6) * 24),
+    ("twin-path-both", 5): (e_term((3, 3, 1), 16) + e_term((4, 3), 68) + e_term((5, 2), 12)
+                            + e_term((6, 1), 20) + e(7) * 28),
+    ("twin-cycle", 1): e(2) * 2,
+    ("twin-cycle", 2): e(3) * 6,
+    ("twin-cycle", 3): e(4) * 24,
+    ("twin-cycle", 4): e(5) * 50 + e_term((4, 1), 6) + e_term((3, 2), 4),
+    ("moose", 2): e_term((2, 2), 2) + e_term((3, 1), 2) + e(4) * 4,
+    ("moose", 3): e_term((3, 1, 1), 2) + e_term((3, 2), 2) + e_term((4, 1), 10) + e(5) * 10,
+    ("moose", 4): (e_term((2, 2, 2), 2) + e_term((3, 2, 1), 2) + e_term((4, 1, 1), 6)
+                   + e_term((4, 2), 6) + e_term((5, 1), 22) + e(6) * 18),
+}
 
 
 def fixtures_check() -> list[CaseResult]:
     col = Collector("oracle")
     with col.group("fixtures") as g:
-        for label, graph, value, want in _fixture_rows():
-            g.check(f"{label}:family", value(), want)
-            if graph is not None:
-                g.check(f"{label}:oracle", csf(graph), want)
+        for (name, n), want in FIXTURES.items():
+            g.check(f"{name}:{n}:family", fam.family_value(name, n), want)
+            if n >= fam.FAMILIES[name].pinned_below:
+                g.check(f"{name}:{n}:oracle", csf(graphs.family(name, n)), want)
         g.check("empty-graph", csf(graphs.path(0)), SymE.one())
         g.check("twin-P2-is-triangle", csf(graphs.twin(graphs.path(2), 0)),
                 e(3) * 6)
@@ -627,7 +612,7 @@ def structural_check(max_vertices: int = 9, count_vertices: int = 8,
         pairs = [(graphs.path(a), graphs.path(b)) for a, b in
                  ((1, 1), (2, 3), (3, 3), (4, 5), (2, 6))]
         pairs += [(graphs.cycle(3), graphs.path(4)), (graphs.cycle(4), graphs.cycle(5)),
-                  (graphs.twin_path_leaf(3), graphs.path(3))]
+                  (graphs.family("twin-path-leaf", 3), graphs.path(3))]
         for gg, hh in pairs:
             g.check(f"{gg!r}|{hh!r}",
                     csf(graphs.disjoint_union(gg, hh)),

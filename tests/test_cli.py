@@ -73,13 +73,6 @@ def test_csf_too_many_edges_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_bad_env_bound_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("CHROMASYM_MAX_N", "twelve")
-    code, _, err = run_cli(capsys, "csf", "--graph", "path:3")
-    assert code == 2
-    assert err.startswith("error:") and "CHROMASYM_MAX_N" in err and "twelve" in err
-
-
 def test_series_extract(capsys):
     code, out, _ = run_cli(capsys, "series", "--name", "path-gf", "--N", "6",
                            "--extract", "3")
@@ -294,8 +287,7 @@ def test_cli_depth_cap_admits_the_cap(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = {k: v for k, v in os.environ.items() if k != "CHROMASYM_MAX_N"}
-    env["PYTHONPATH"] = "src"
+    env = dict(os.environ, PYTHONPATH="src")
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "chromasym", *argv],

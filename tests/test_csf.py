@@ -11,7 +11,7 @@ from chromasym.csf import (chromatic_count_check, count_proper_colorings, csf,
                            leaf_twin_reduction_check, near_triangle_check,
                            triple_deletion_check)
 from chromasym.graphs import (Graph, cycle, disjoint_union, family, path, twin,
-                              twin_cycle, twin_path_both, triangles)
+                              triangles)
 from chromasym.symfun import SymE, e, e_term, power_sum_lambda_to_e
 
 
@@ -74,7 +74,7 @@ def test_csf_fixtures():
     assert csf(path(3)) == e_term((2, 1)) + e(3) * 3
     assert csf(path(0)) == SymE.one()
     assert csf(twin(path(2), 0)) == csf(cycle(3)) == e(3) * 6
-    assert csf(twin_path_both(2)) == e(4) * 24
+    assert csf(family("twin-path-both", 2)) == e(4) * 24
 
 
 def test_csf_path4():
@@ -82,7 +82,7 @@ def test_csf_path4():
 
 
 def test_csf_homogeneous():
-    for g in (path(5), cycle(6), twin_cycle(4), twin_path_both(3)):
+    for g in (path(5), cycle(6), family("twin-cycle", 4), family("twin-path-both", 3)):
         assert csf(g).homogeneous_degree() == g.n
 
 
@@ -126,7 +126,7 @@ def test_csf_at_vertex_bound(monkeypatch):
         n = 14 - spec.extra
         ell = spec.ells(n)[len(spec.ells(n)) // 2] if spec.ells else None
         cases.append((family(name, n, ell), [fam.family_value(name, n, ell)]))
-    cases.append((twin_cycle(13), [fam.family_value("twin-cycle", 13, None, m)
+    cases.append((family("twin-cycle", 13), [fam.family_value("twin-cycle", 13, None, m)
                                    for m in fam.methods_for("twin-cycle")]))
     cases.append((star(13), [subset_sum_csf(star(13))]))
     start = time.perf_counter()
@@ -147,18 +147,10 @@ def test_csf_size_bound():
         csf(cycle(12), max_edges=5)
 
 
-def test_csf_respects_env_bound(monkeypatch):
-    monkeypatch.setenv("CHROMASYM_MAX_N", "4")
+def test_csf_respects_env_bound():
     with pytest.raises(ValueError):
-        csf(path(5))
-    monkeypatch.setenv("CHROMASYM_MAX_N", "6")
-    assert csf(path(5)).homogeneous_degree() == 5
-
-
-def test_csf_rejects_non_integer_env_bound(monkeypatch):
-    monkeypatch.setenv("CHROMASYM_MAX_N", "4.5")
-    with pytest.raises(ValueError, match="CHROMASYM_MAX_N.*4.5"):
-        csf(path(3))
+        csf(path(5), max_vertices=4)
+    assert csf(path(5), max_vertices=6).homogeneous_degree() == 5
 
 
 def test_coloring_counts_against_full_scan():
@@ -195,12 +187,13 @@ def test_csf_subset_sum_and_colorings_agree_on_random_graphs(g):
 def test_coloring_count_edge_cases():
     for k in range(6):
         assert count_proper_colorings(Graph(0), k) == 1
-        assert count_proper_colorings(twin_cycle(3), k) == k * (k - 1) * (k - 2) * (k - 3)
+        assert (count_proper_colorings(family("twin-cycle", 3), k)
+                == k * (k - 1) * (k - 2) * (k - 3))
         for n in range(1, 6):
             assert count_proper_colorings(Graph(n), k) == k ** n
     for n in range(1, 6):
         assert count_proper_colorings(path(n), 0) == 0
-    assert all(count_proper_colorings(twin_cycle(3), k) == 0 for k in range(4))
+    assert all(count_proper_colorings(family("twin-cycle", 3), k) == 0 for k in range(4))
     with pytest.raises(ValueError, match="palette size"):
         count_proper_colorings(path(3), -1)
 
@@ -234,7 +227,7 @@ def test_triple_deletion_on_twin():
 
 
 def test_triple_deletion_on_k4_all_faces():
-    k4 = twin_cycle(3)
+    k4 = family("twin-cycle", 3)
     for tri in triangles(k4):
         assert triple_deletion_check(k4, tri)
 

@@ -7,9 +7,7 @@ from chromasym import families as fam
 from chromasym import powerseries as ps
 from chromasym import verify
 from chromasym.csf import csf
-from chromasym.graphs import (cycle, family, moose, path, twin,
-                              twin_interior_leaf, twin_path_both,
-                              twin_path_interior, twin_path_leaf)
+from chromasym.graphs import cycle, family, path, twin
 from chromasym.partitions import partitions_of
 from chromasym.symfun import SymE, e, e_term
 
@@ -84,7 +82,7 @@ def test_twin_path_leaf_methods_agree(n):
 
 def test_twin_path_leaf_matches_oracle():
     for n in range(1, 8):
-        assert fam.twin_path_leaf(n) == csf(twin_path_leaf(n))
+        assert fam.twin_path_leaf(n) == csf(family("twin-path-leaf", n))
 
 
 def test_twin_path_leaf_positive_sum_form():
@@ -132,7 +130,7 @@ def test_twin_path_both_methods_agree(n):
 
 def test_twin_path_both_matches_oracle():
     for n in range(2, 7):
-        assert fam.twin_path_both(n) == csf(twin_path_both(n))
+        assert fam.twin_path_both(n) == csf(family("twin-path-both", n))
 
 
 def test_twin_path_both_coeff_examples():
@@ -167,7 +165,7 @@ def test_alpha_consistency():
 
 
 def test_interior_twin_smallest_case():
-    assert fam.twin_path_interior(3, 2) == csf(twin_path_interior(3, 2))
+    assert fam.twin_path_interior(3, 2) == csf(family("twin-path-interior", 3, 2))
     assert fam.twin_path_interior(3, 2) == e(4) * 16 + e_term((3, 1), 2)
 
 
@@ -182,7 +180,7 @@ def test_interior_twin_methods_agree(n, ell):
 def test_interior_twin_matches_oracle():
     for n in range(3, 8):
         for ell in range(2, n):
-            assert fam.twin_path_interior(n, ell) == csf(twin_path_interior(n, ell))
+            assert fam.twin_path_interior(n, ell) == csf(family("twin-path-interior", n, ell))
 
 
 def test_interior_twin_symmetry():
@@ -204,6 +202,15 @@ def test_f_poly_matches_its_positive_form():
         assert fam.f_poly(ell, ell + 2) == fam.f_poly_alt(ell, ell + 2)
 
 
+@pytest.mark.parametrize("ell", range(2, 11))
+def test_interior_epos_half_gf_is_the_half_gf(ell):
+    trunc = 14
+    half = fam.interior_gf_epos_half(ell, trunc)
+    assert half == ps.path_gf(trunc) * fam.f_poly(ell, trunc) + fam.g_poly(ell, trunc)
+    for degree, coeff in enumerate(half.coeffs):
+        assert coeff.is_e_positive(), (degree, coeff.negative_term())
+
+
 def test_g_poly_cancellation():
     # everything in g cancels against the product: low-degree coefficients of
     # 2 path_gf f_ell are exactly -2 times those of g_ell
@@ -217,7 +224,7 @@ def test_g_poly_cancellation():
 def test_interior_then_leaf():
     for n, ell in ((4, 2), (5, 3), (6, 2)):
         value = fam.twin_interior_then_leaf(n, ell)
-        assert value == csf(twin_interior_leaf(n, ell))
+        assert value == csf(family("twin-interior-leaf", n, ell))
         assert value.is_e_positive()
     with pytest.raises(ValueError):
         fam.twin_interior_then_leaf(4, 3)
@@ -316,7 +323,7 @@ def test_moose_recurrence_reproduces_stored_initial():
 
 def test_moose_matches_oracle():
     for n in range(2, 8):
-        assert fam.moose(n) == csf(moose(n))
+        assert fam.moose(n) == csf(family("moose", n))
 
 
 def test_moose_e_positive():
@@ -394,7 +401,10 @@ def test_route_functions_share_the_table_domain():
             route()
         with pytest.raises(ValueError) as by_table:
             fam.family_value(name, n, ell)
+        with pytest.raises(ValueError) as by_graph:
+            family(name, n, ell)
         assert str(by_route.value) == str(by_table.value), name
+        assert str(by_graph.value) == str(by_table.value), name
         assert str(by_route.value).startswith(f"family {name!r}")
     with pytest.raises(ValueError, match="has no method 'gf'"):
         fam.moose(4, "gf")
@@ -426,6 +436,7 @@ def test_family_instances_inventory():
         args = dict(kv.split("=") for kv in params.split(","))
         ell = int(args["ell"]) if "ell" in args else None
         assert graph == family(name, int(args["n"]), ell)
+        assert graph.n == int(args["n"]) + fam.FAMILIES[name].extra
         assert graph.n <= 9
     assert counts == want
     assert set(counts) == set(fam.FAMILIES)

@@ -1,10 +1,8 @@
 import pytest
 
 from chromasym.graphs import (Graph, add_edge, cycle, delete_edge,
-                              disjoint_union, family, flagpole, moose,
-                              parse_graph, path, tadpole, triangle_path,
-                              triangles, twin, twin_cycle, twin_path_both,
-                              twin_path_interior, twin_path_leaf, dgraph)
+                              disjoint_union, family, parse_graph, path,
+                              triangles, twin)
 
 
 def test_path_basics():
@@ -67,60 +65,61 @@ def test_twin_then_deletions_recover_disjoint_union():
 
 
 def test_flagpole_at_end_is_path():
-    f = flagpole(3, 1)
+    f = family("flagpole", 3, 1)
     assert sorted(f.degree_sequence()) == sorted(path(4).degree_sequence())
     assert len(f.edges) == 3
 
 
 def test_triangle_path_shape():
-    t = triangle_path(4, 2)
+    t = family("triangle-path", 4, 2)
     assert t.n == 5
     assert t.has_edge(1, 4) and t.has_edge(2, 4)
     assert list(triangles(t)) == [(1, 2, 4)]
 
 
 def test_moose_shape():
-    a6 = moose(4)
+    a6 = family("moose", 4)
     assert a6.n == 6
     degs = a6.degree_sequence()
     assert degs.count(3) == 2 and degs.count(1) == 2
-    assert moose(2) == Graph(4, [(0, 1), (0, 2), (1, 3)])
+    assert family("moose", 2) == Graph(4, [(0, 1), (0, 2), (1, 3)])
     for n in range(3, 8):
-        degs = moose(n).degree_sequence()
+        degs = family("moose", n).degree_sequence()
         assert degs.count(3) == 2 and degs.count(1) == 2
         assert degs.count(2) == n - 2
 
 
 def test_twin_cycle_3_is_k4():
-    assert twin_cycle(3) == twin(cycle(3), 0)
-    assert len(twin_cycle(3).edges) == 6
+    assert family("twin-cycle", 3) == twin(cycle(3), 0)
+    assert len(family("twin-cycle", 3).edges) == 6
 
 
 def test_dgraph_and_tadpole_edge_counts():
     for n in range(3, 7):
-        tc = twin_cycle(n)
-        assert len(dgraph(n).edges) == len(tc.edges) - 1
-        assert len(tadpole(n).edges) == len(tc.edges) - 2
-        degs = tadpole(n).degree_sequence()
+        tc = family("twin-cycle", n)
+        assert len(family("dgraph", n).edges) == len(tc.edges) - 1
+        assert len(family("tadpole", n).edges) == len(tc.edges) - 2
+        degs = family("tadpole", n).degree_sequence()
         assert degs.count(1) == 1 and degs.count(3) == 1
 
 
 def test_twin_path_families():
-    assert twin_path_leaf(1) == path(2)
-    assert twin_path_both(2).n == 4 and len(twin_path_both(2).edges) == 6
-    g = twin_path_interior(5, 3)
+    assert family("twin-path-leaf", 1) == path(2)
+    both = family("twin-path-both", 2)
+    assert both.n == 4 and len(both.edges) == 6
+    g = family("twin-path-interior", 5, 3)
     assert g.n == 6
     assert g.has_edge(5, 2) and g.has_edge(5, 1) and g.has_edge(5, 3)
     with pytest.raises(ValueError):
-        twin_path_interior(5, 1)
+        family("twin-path-interior", 5, 1)
     with pytest.raises(ValueError):
-        twin_path_interior(5, 5)
+        family("twin-path-interior", 5, 5)
 
 
 def test_family_dispatch():
-    assert family("moose", 4) == moose(4)
-    assert family("twinned-cycle", 3) == twin_cycle(3)
-    assert family("flagpole", 3, 1) == flagpole(3, 1)
+    assert family("moose", 4) == Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5)])
+    assert family("twinned-cycle", 3) == twin(cycle(3), 0)
+    assert family("flagpole", 3, 1) == Graph(4, [(0, 1), (1, 2), (0, 3)])
     with pytest.raises(ValueError):
         family("flagpole", 3)
     with pytest.raises(ValueError):
@@ -134,8 +133,8 @@ def test_parse_graph():
     assert parse_graph("cycle:6") == cycle(6)
     assert parse_graph("twin(cycle:6,0)") == twin(cycle(6), 0)
     assert parse_graph("twin(twin(path:3,1),0)") == twin(twin(path(3), 1), 0)
-    assert parse_graph("moose:5") == moose(5)
-    assert parse_graph("flagpole:9,4") == flagpole(9, 4)
+    assert parse_graph("moose:5") == family("moose", 5)
+    assert parse_graph("flagpole:9,4") == family("flagpole", 9, 4)
     assert parse_graph("g:n=5;edges=0-1,1-2") == Graph(5, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         parse_graph("path")
@@ -146,5 +145,5 @@ def test_parse_graph():
 def test_triangles_enumeration():
     assert list(triangles(path(5))) == []
     assert list(triangles(cycle(3))) == [(0, 1, 2)]
-    k4 = twin_cycle(3)
+    k4 = family("twin-cycle", 3)
     assert len(list(triangles(k4))) == 4
