@@ -6,13 +6,8 @@ identity in path/cycle values, generating function extraction, e-positive
 recurrence, or coefficient reassembly); none of the routes consults the
 brute-force oracle in csf, so oracle agreement is a genuine cross-check.
 
-Normalizations.  Generating functions follow the conventions used for the
-coefficient formulas:
-
-  * leaf twin        sum_{n>=1} X_{n,v} z^{n+1}
-  * both leaves      sum_{n>=3} X_{n,v,w} z^{n+2}        (quarter-scaled form)
-  * interior twin    sum_{n>=ell+1} X_{n,ell} z^{n+1}    (half-scaled form)
-  * twinned cycle    sum_{n>=3} X_{C_{n,v}} z^{n+1}      (half-scaled form)
+Each family's generating functions and their scales, and the scale of its
+coefficient formula, are fields of its FAMILIES entry.
 
 The degenerate conventions X_{C_1} = 0, X_{C_2} = 2e_2, X_{C_{1,v}} = 2e_2,
 X_{C_{2,v}} = 6e_3 are pinned constants: no simple graph realizes them, but
@@ -21,7 +16,7 @@ the recurrences and coefficient formulas depend on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import powerseries as ps
@@ -484,11 +479,11 @@ def twin_cycle(n: int, method: str = "identity") -> SymE:
 
 
 def twin_cycle_coeff(lam) -> int:
-    """Coefficient of e_lam z^{|lam|} in the half gf of the twinned cycle.
+    """Half the e_lam coefficient of the twinned-cycle value at n = |lam| - 1.
 
-    Equals half the e_lam coefficient of the twinned-cycle value at
-    n = |lam| - 1, with the n = 1, 2 conventions included.  The case split
-    is exhaustive.
+    The n = 2 convention 6e_3 is included, so (3,) gives 3.  The half gf
+    sum_{n>=3} X_{C_{n,v}} z^{n+1} / 2 starts at z^4, so this is its e_lam
+    z^{|lam|} coefficient only for |lam| >= 4.  The case split is exhaustive.
     """
     lam = make_partition(lam)
     k = sum(lam)
@@ -582,9 +577,13 @@ class FamilySpec:
     appended in order, and ell is a 1-based spine position.  Below
     pinned_below the value is a pinned convention that no simple graph
     realizes.  routes maps each method to the f(n, ell) that computes a
-    member, the first being the default.  coeff(lam) is the printed
-    coefficient formula, and e_positive marks the families the paper claims
-    e-positive.
+    member, the first being the default.  gfs maps each name of an equal
+    form of the generating function, the e-positive one first, to
+    (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
+    scale * f is the member's value.  coeff(lam) is the printed coefficient
+    formula: for n >= coeff_from, coeff_scale * coeff(lam) is the e_lam
+    coefficient of the value at n = |lam| - extra, and None means no printed
+    form.  e_positive marks the families the paper claims e-positive.
     """
 
     graph: Callable[[int, Optional[int]], Graph]
@@ -593,7 +592,12 @@ class FamilySpec:
     extra: int
     ells: Optional[Callable[[int], range]] = None
     pinned_below: int = 0
+    gfs: dict[str, tuple[int, Callable[[int, Optional[int]], Series]]] = field(
+        default_factory=dict)
+    gf_from: int = 0
     coeff: Optional[Callable[[Partition], Optional[int]]] = None
+    coeff_from: int = 0
+    coeff_scale: int = 1
     e_positive: bool = False
 
     def check(self, name: str, n: int, ell: Optional[int]) -> None:
@@ -617,14 +621,14 @@ FAMILIES: dict[str, FamilySpec] = {
         lambda n, ell: path(n),
         {"recurrence": lambda n, ell: path_seq(n),
          "gf": lambda n, ell: ps.path_gf(n).extract(n)},
-        min_n=0, extra=0, coeff=lambda lam: path_cycle_coeff("path", lam),
+        min_n=0, extra=0, coeff=lambda lam: path_cycle_coeff("path", lam), coeff_from=1,
         e_positive=True),
     "cycle": FamilySpec(
         lambda n, ell: cycle(n),
         {"recurrence": lambda n, ell: cycle_seq(n),
          "gf": lambda n, ell: ps.cycle_gf(n).extract(n)},
         min_n=1, extra=0, pinned_below=3,
-        coeff=lambda lam: path_cycle_coeff("cycle", lam), e_positive=True),
+        coeff=lambda lam: path_cycle_coeff("cycle", lam), coeff_from=1, e_positive=True),
     # the clone n of the leaf n-1 (of the only vertex when n = 1)
     "twin-path-leaf": FamilySpec(
         lambda n, ell: twin(path(n), n - 1),
@@ -632,9 +636,14 @@ FAMILIES: dict[str, FamilySpec] = {
          "gf": lambda n, ell: leaf_twin_gf_half(n + 2).extract(n + 1) * 2,
          "recurrence": lambda n, ell: _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2},
                                              2, 2, _leaf_twin_drive)},
-        min_n=1, extra=1, coeff=lambda lam: twin_path_leaf_coeff(lam), e_positive=True),
+        min_n=1, extra=1,
+        gfs={"half": (2, lambda N, ell: leaf_twin_gf_half(N)),
+             "half-alt": (2, lambda N, ell: leaf_twin_gf_half_alt(N)),
+             "full": (1, lambda N, ell: leaf_twin_gf(N))}, gf_from=1,
+        coeff=lambda lam: twin_path_leaf_coeff(lam), coeff_from=1, e_positive=True),
     # the clone n of 0, then the clone n+1 of n-1; the identity and the gf
-    # start at n = 3, so n = 2 (K_4) is pinned for them
+    # start at n = 3, so n = 2 (K_4) is pinned for them, but the coefficient
+    # formula holds at n = 2 too
     "twin-path-both": FamilySpec(
         lambda n, ell: twin(twin(path(n), 0), n - 1),
         {"identity": lambda n, ell: e(4) * 24 if n == 2 else (
@@ -644,7 +653,10 @@ FAMILIES: dict[str, FamilySpec] = {
              both_leaves_gf_quarter(n + 3).extract(n + 2) * 4),
          "recurrence": lambda n, ell: _recur(_both_rec_cache, n, _both_leaves_seeds,
                                              4, 3, _both_leaves_drive)},
-        min_n=2, extra=2, coeff=lambda lam: twin_path_both_coeff(lam), e_positive=True),
+        min_n=2, extra=2,
+        gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
+             "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N))}, gf_from=3,
+        coeff=lambda lam: twin_path_both_coeff(lam), coeff_from=2, e_positive=True),
     # the clone n of spine position ell
     "twin-path-interior": FamilySpec(
         lambda n, ell: twin(path(n), ell - 1),
@@ -652,14 +664,18 @@ FAMILIES: dict[str, FamilySpec] = {
          "gf": lambda n, ell: interior_gf(ell, n + 2).extract(n + 1),
          "epos-gf": lambda n, ell: interior_gf_epos_half(ell, n + 2).extract(n + 1) * 2,
          "recurrence": lambda n, ell: _interior_recurrence(n, ell)},
-        min_n=3, extra=1, ells=lambda n: range(2, n), e_positive=True),
+        min_n=3, extra=1, ells=lambda n: range(2, n),
+        gfs={"epos-half": (2, lambda N, ell: interior_gf_epos_half(ell, N)),
+             "full": (1, lambda N, ell: interior_gf(ell, N))}, gf_from=3,
+        e_positive=True),
     # the clone n of spine position ell, then the clone n+1 of the leaf n-1
     "twin-interior-leaf": FamilySpec(
         lambda n, ell: twin(twin(path(n), ell - 1), n - 1),
         {"identity": lambda n, ell: (twin_path_interior(n + 1, ell)
                                      - e(2) * twin_path_interior(n - 1, ell)) * 2},
         min_n=4, extra=2, ells=lambda n: range(2, n - 1), e_positive=True),
-    # the clone n of 0
+    # the clone n of 0; the gf starts at n = 3 and the coefficient formula at
+    # the n = 2 convention
     "twin-cycle": FamilySpec(
         lambda n, ell: twin(cycle(n), 0),
         {"identity": lambda n, ell: _twin_cycle_pinned(n) if n <= 2 else (
@@ -669,7 +685,11 @@ FAMILIES: dict[str, FamilySpec] = {
              twin_cycle_gf_half(n + 2).extract(n + 1) * 2),
          "recurrence": lambda n, ell: _recur(_twin_cycle_rec_cache, n,
                                              lambda: {1: e(2) * 2}, 2, 2, _twin_cycle_drive)},
-        min_n=1, extra=1, pinned_below=3, coeff=lambda lam: twin_cycle_coeff(lam),
+        min_n=1, extra=1, pinned_below=3,
+        gfs={"half": (2, lambda N, ell: twin_cycle_gf_half(N)),
+             "half-rewrite": (2, lambda N, ell: twin_cycle_gf_half_rewrite(N)),
+             "full": (1, lambda N, ell: twin_cycle_gf(N))}, gf_from=3,
+        coeff=lambda lam: twin_cycle_coeff(lam), coeff_from=2, coeff_scale=2,
         e_positive=True),
     # leaf n hangs from 0 and leaf n+1 from 1; at n = 2 the cycle degenerates
     # to the edge 0-1 and the graph is the 4-path

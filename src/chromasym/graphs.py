@@ -125,11 +125,15 @@ def triangles(g: Graph):
 
 def family(name: str, n: int, ell: Optional[int] = None) -> Graph:
     """The graph of a family member, built by its entry in families.FAMILIES;
-    ell is required exactly for the two-parameter families."""
+    ell is required exactly for the two-parameter families.  Members below
+    the entry's pinned_below have a value but no graph."""
     # deferred: the family table lives in families, which imports this module
     from .families import family_spec
     spec = family_spec(name)
     spec.check(name, n, ell)
+    if n < spec.pinned_below:
+        raise ValueError(f"family {name!r} at n={n} is a pinned convention with no graph; "
+                         f"graphs start at n={spec.pinned_below}")
     return spec.graph(n, ell)
 
 

@@ -15,8 +15,8 @@ from math import comb
 from . import families as fam
 from . import graphs
 from . import powerseries as ps
-from .csf import (chromatic_count_check, csf, leaf_twin_reduction_check,
-                  near_triangle_check, triple_deletion_check)
+from .csf import (DEFAULT_MAX_VERTICES, chromatic_count_check, csf,
+                  leaf_twin_reduction_check, near_triangle_check, triple_deletion_check)
 from .partitions import (epsilon, epsilon_minus, multiplicities, partitions_of,
                          remove_part, support, union)
 from .powerseries import Series
@@ -218,6 +218,19 @@ def newton_check(max_n: int = 8) -> list[CaseResult]:
     return col.results
 
 
+# the two-parameter families' generating functions are checked at these ell
+GF_ELLS = (2, 3, 4)
+
+
+def _gf_members():
+    """Yield (name, label, spec, ell) for every family with gf forms, at each
+    ell of GF_ELLS for the two-parameter families."""
+    for name, spec in fam.FAMILIES.items():
+        if spec.gfs:
+            for ell in GF_ELLS if spec.ells else (None,):
+                yield name, name if ell is None else f"{name}-ell{ell}", spec, ell
+
+
 def series_identities_check(trunc: int = 12) -> list[CaseResult]:
     col = Collector("series")
     N = trunc
@@ -273,41 +286,17 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                     ps.E(N) + xp * ps.G_geq(k + 1, N))
             g.check(f"split-k{k}", ps.G_leq(k, N) + ps.G_geq(k + 1, N), ps.G(N))
 
-    with col.group("leaf-twin-gf-forms") as g:
-        full = fam.leaf_twin_gf(N)
-        half = fam.leaf_twin_gf_half(N)
-        alt = fam.leaf_twin_gf_half_alt(N)
-        g.check("half-vs-alt", half, alt)
-        g.check("half*2-vs-full", half * 2, full)
-        for n in range(1, N):
-            g.check(f"vs-identity-n{n}", full.extract(n + 1),
-                    fam.twin_path_leaf(n, "identity"))
-
-    with col.group("both-leaves-gf-forms") as g:
-        quarter = fam.both_leaves_gf_quarter(N)
-        g.check("quarter-vs-alt", quarter, fam.both_leaves_gf_quarter_alt(N))
-        g.check("alpha-consistency", quarter * 4,
+    with col.group("alpha-consistency") as g:
+        g.check("both-leaves-vs-leaf-twin", fam.both_leaves_gf_quarter(N) * 4,
                 fam.leaf_twin_gf(N) * (one - e2z2) * 2 + fam.alpha_poly(N) * 2)
-        for n in range(3, N - 1):
-            g.check(f"vs-identity-n{n}", quarter.extract(n + 2) * 4,
-                    fam.twin_path_both(n, "identity"))
 
     with col.group("interior-f-forms") as g:
         for ell in range(2, 9):
             g.check(f"f{ell}-alt", fam.f_poly(ell, ell + 2),
                     fam.f_poly_alt(ell, ell + 2))
-
-    with col.group("interior-gf-epos") as g:
-        for ell in (2, 3, 4):
-            fl = fam.f_poly(ell, N)
-            g.check(f"f-product-ell{ell}", xp * fl,
+        for ell in GF_ELLS:
+            g.check(f"f-product-ell{ell}", xp * fam.f_poly(ell, N),
                     fam.interior_epos_f_product(ell, N))
-            g.check(f"half-gf-ell{ell}", fam.interior_gf_epos_half(ell, N),
-                    xp * fl + fam.g_poly(ell, N))
-            for n in range(ell + 1, N):
-                g.check(f"vs-identity-ell{ell}-n{n}",
-                        fam.interior_gf(ell, N).extract(n + 1),
-                        fam.twin_path_interior(n, ell, "identity"))
 
     with col.group("interior-cancellation") as g:
         for ell in range(2, 7):
@@ -317,21 +306,24 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                 g.check(f"ell{ell}-z^{degree}", low.extract(degree),
                         gl.extract(degree) * -2)
 
-    with col.group("twin-cycle-gf") as g:
-        full = fam.twin_cycle_gf(N)
-        g.check("rewrite*2-vs-full", fam.twin_cycle_gf_half_rewrite(N) * 2, full)
-        g.check("epos*2-vs-full", fam.twin_cycle_gf_half(N) * 2, full)
-        for n in range(3, N):
-            g.check(f"vs-identity-n{n}", full.extract(n + 1),
-                    fam.twin_cycle(n, "identity"))
+    for name, label, spec, ell in _gf_members():
+        forms = {form: (scale, series(N, ell)) for form, (scale, series) in spec.gfs.items()}
+        first, (first_scale, first_series) = next(iter(forms.items()))
+        with col.group(f"{label}-gf") as g:
+            for form, (scale, series) in forms.items():
+                g.check_true(f"{form}-graded", series.graded_ok())
+                if form != first:
+                    g.check(f"{form}-vs-{first}", series * scale, first_series * first_scale)
+            for n in range(spec.gf_from, N - spec.extra + 1):
+                if ell is None or ell in spec.ells(n):
+                    value = fam.family_value(name, n, ell)
+                    for form, (scale, series) in forms.items():
+                        g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
 
     with col.group("grading") as g:
         named = {"E": ps.E(N), "D": ps.D(N), "G": ps.G(N), "K": ps.K(N),
                  "F1": ps.F1(N), "F2": ps.F2(N), "F3": ps.F3(N),
-                 "1/D": inv_d, "path-gf": xp, "cycle-gf": xc,
-                 "leaf-twin": fam.leaf_twin_gf(N),
-                 "both-leaves": fam.both_leaves_gf_quarter(N),
-                 "twin-cycle": fam.twin_cycle_gf_half(N)}
+                 "1/D": inv_d, "path-gf": xp, "cycle-gf": xc}
         for name, series in named.items():
             g.check_true(f"{name}", series.graded_ok())
     return col.results
@@ -342,14 +334,15 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
 
 
 def family_instances(max_vertices: int = 9):
-    """Yield (label, graph-or-None, {method: callable}) for every family member
-    whose graph has at most max_vertices vertices (plus graphless conventions)."""
+    """Yield (name, label, graph-or-None, {method: callable}) for every family
+    member whose graph has at most max_vertices vertices (plus graphless
+    conventions)."""
     for name, spec in fam.FAMILIES.items():
         for n in range(spec.min_n, max_vertices - spec.extra + 1):
             for ell in spec.ells(n) if spec.ells else (None,):
                 label = f"{name}:n={n}" if ell is None else f"{name}:n={n},ell={ell}"
                 graph = graphs.family(name, n, ell) if n >= spec.pinned_below else None
-                yield (label, graph,
+                yield (name, label, graph,
                        {m: (lambda name=name, n=n, ell=ell, m=m:
                             fam.family_value(name, n, ell, m))
                         for m in spec.routes})
@@ -359,54 +352,31 @@ def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
     """Method agreement and oracle agreement for every family instance."""
     col = Collector("families")
     with col.group("method-and-oracle-agreement") as g:
-        for label, graph, methods in family_instances(max_vertices):
+        for _, label, graph, methods in family_instances(max_vertices):
             values = {m: build() for m, build in methods.items()}
             first = next(iter(values.values()))
             for m, val in values.items():
                 g.check(f"{label}:{m}", val, first)
             if graph is not None:
                 g.check(f"{label}:oracle", csf(graph), first)
-    with col.group("coefficient-reassembly") as g:
-        for n in range(1, min(max_vertices, 9) + 1):
-            got = SymE({lam: fam.path_cycle_coeff("path", lam)
-                        for lam in partitions_of(n)})
-            g.check(f"path:n={n}", got, fam.path_seq(n))
-            got = SymE({lam: fam.path_cycle_coeff("cycle", lam)
-                        for lam in partitions_of(n)})
-            g.check(f"cycle:n={n}", got, fam.cycle_seq(n))
-        for n in range(1, max_vertices - 1):
-            got = SymE({lam: fam.twin_path_leaf_coeff(lam)
-                        for lam in partitions_of(n + 1)})
-            g.check(f"twin-path-leaf:n={n}", got, fam.twin_path_leaf(n))
-        for n in range(2, max_vertices - 1):
-            got = SymE({lam: 2 * fam.twin_cycle_coeff(lam)
-                        for lam in partitions_of(n + 1)})
-            g.check(f"twin-cycle:n={n}", got, fam.twin_cycle(n))
     return col.results
 
 
 def e_positivity_check(trunc: int = 12, max_vertices: int = 9) -> list[CaseResult]:
     col = Collector("families")
     with col.group("family-values-epos") as g:
-        for label, _, methods in family_instances(max_vertices):
-            if not fam.FAMILIES[label.split(":")[0]].e_positive:
+        for name, label, _, methods in family_instances(max_vertices):
+            if not fam.FAMILIES[name].e_positive:
                 continue
             val = next(iter(methods.values()))()
             witness = val.negative_term()
             g.check_true(label, witness is None, f"negative term {witness}")
     with col.group("gf-coefficients-epos") as g:
-        expansions = {
-            "leaf-twin-half": fam.leaf_twin_gf_half(trunc),
-            "both-leaves-quarter": fam.both_leaves_gf_quarter(trunc),
-            "twin-cycle-half": fam.twin_cycle_gf_half(trunc),
-            "interior-half-ell2": fam.interior_gf_epos_half(2, trunc),
-            "interior-half-ell3": fam.interior_gf_epos_half(3, trunc),
-            "interior-half-ell4": fam.interior_gf_epos_half(4, trunc),
-        }
-        for name, series in expansions.items():
-            for degree, coeff in enumerate(series.coeffs):
+        for _, label, spec, ell in _gf_members():
+            form, (_, series) = next(iter(spec.gfs.items()))
+            for degree, coeff in enumerate(series(trunc, ell).coeffs):
                 witness = coeff.negative_term()
-                g.check_true(f"{name}:z^{degree}", witness is None,
+                g.check_true(f"{label}:{form}:z^{degree}", witness is None,
                              f"negative term {witness}")
     return col.results
 
@@ -446,26 +416,31 @@ def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[str]:
 
 def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResult]:
     col = Collector("families")
-    xp = ps.path_gf(max_size)
-    xc = ps.cycle_gf(max_size)
-    with col.group("path-cycle-coeffs") as g:
+    with col.group("coefficient-formulas") as g:
+        for name, spec in fam.FAMILIES.items():
+            if spec.coeff is None:
+                continue
+            for n in range(spec.coeff_from, max_size - spec.extra + 1):
+                value = fam.family_value(name, n)
+                for lam in partitions_of(n + spec.extra):
+                    got = spec.coeff(lam)
+                    if got is not None:
+                        g.check(f"{name}:{lam}", spec.coeff_scale * got, value.coefficient(lam))
+
+    with col.group("path-short-forms") as g:
         for n in range(1, max_size + 1):
-            pcoeff = xp.extract(n)
-            ccoeff = xc.extract(n) if n >= 2 else fam.cycle_seq(n)
+            value = fam.path_seq(n)
             for lam in partitions_of(n):
-                want_p = pcoeff.coefficient(lam)
-                g.check(f"path:{lam}", fam.path_cycle_coeff("path", lam), want_p)
+                want = value.coefficient(lam)
                 g.check(f"path-alt:{lam}",
                         epsilon(lam) + sum(epsilon_minus(lam, a) for a in support(lam)),
-                        want_p)
+                        want)
                 if 1 in lam and len(lam) >= 2:
                     mu = remove_part(lam, 1)
                     g.check(f"path-one-join:{lam}",
                             sum((a - 1) * epsilon_minus(mu, a)
                                 for a in support(mu) if a >= 2),
-                            want_p)
-                g.check(f"cycle:{lam}", fam.path_cycle_coeff("cycle", lam),
-                        ccoeff.coefficient(lam))
+                            want)
         for n in range(2, max_size + 1):
             g.check(f"path-special-(n):{n}",
                     fam.path_cycle_coeff("path", (n,)), n)
@@ -478,14 +453,8 @@ def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResu
                 g.check(f"path-special-2^{k}-1",
                         fam.path_cycle_coeff("path", (2,) * k + (1,)), 1)
 
-    leaf_gf = fam.leaf_twin_gf(max_size)
-    with col.group("leaf-twin-coeffs") as g:
-        for n in range(2, max_size + 1):
-            coeff = leaf_gf.extract(n)
-            for lam in partitions_of(n):
-                g.check(f"{lam}", fam.twin_path_leaf_coeff(lam),
-                        coeff.coefficient(lam))
-        # printed short forms as consequences of the general sums
+    # printed short forms as consequences of the general sums
+    with col.group("leaf-twin-short-forms") as g:
         for k in range(3, max_size + 1):
             g.check(f"case-a:{k}", fam.twin_path_leaf_coeff((k,)), 2 * k)
         g.check("case-a:2", fam.twin_path_leaf_coeff((2,)), 2)
@@ -511,22 +480,6 @@ def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResu
                     fam.twin_path_leaf_coeff((2,) * k + (1,)), 0)
         for k in range(2, max_size // 2 + 1):
             g.check(f"case-h-zero:{k}", fam.twin_path_leaf_coeff((2,) * k), 0)
-
-    both_gf = fam.both_leaves_gf_quarter(max_size)
-    with col.group("both-leaves-coeffs") as g:
-        for n in range(1, max_size + 1):
-            coeff = both_gf.extract(n) * 4
-            for lam in partitions_of(n):
-                got = fam.twin_path_both_coeff(lam)
-                if got is not None:
-                    g.check(f"{lam}", got, coeff.coefficient(lam))
-
-    with col.group("twin-cycle-coeffs") as g:
-        for n in range(3, max_size + 1):
-            value = fam.twin_cycle(n - 1)
-            for lam in partitions_of(n):
-                g.check(f"{lam}", 2 * fam.twin_cycle_coeff(lam),
-                        value.coefficient(lam))
 
     with col.group("coefficient-specials") as g:
         for line in coeff_specials_check(grid, grid):
@@ -584,7 +537,7 @@ def fixtures_check() -> list[CaseResult]:
 def structural_check(max_vertices: int = 9, count_vertices: int = 8,
                      max_k: int = 5) -> list[CaseResult]:
     col = Collector("oracle")
-    inventory = [(label, graph) for label, graph, _ in family_instances(max_vertices)
+    inventory = [(label, graph) for _, label, graph, _ in family_instances(max_vertices)
                  if graph is not None]
 
     with col.group("homogeneity") as g:
@@ -654,6 +607,12 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
         raise ValueError(f"--max-n must be >= 3, got {max_n}")
     if max_deg < 2:
         raise ValueError(f"--max-deg must be >= 2, got {max_deg}")
+    # above these ceilings the oracle or the CLI would refuse the work
+    from .cli import MAX_DEPTH  # deferred: cli imports this module
+    if max_n > DEFAULT_MAX_VERTICES:
+        raise ValueError(f"--max-n must be <= {DEFAULT_MAX_VERTICES}, got {max_n}")
+    if max_deg > MAX_DEPTH:
+        raise ValueError(f"--max-deg must be <= {MAX_DEPTH}, got {max_deg}")
     results: list[CaseResult] = []
     if "partitions" in wanted:
         results += epsilon_table_check()
@@ -666,7 +625,7 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
     if "families" in wanted:
         results += family_sweep_check(max_n)
         results += e_positivity_check(max_deg, max_n)
-        results += coefficient_sweeps_check(min(9, max_n), 10)
+        results += coefficient_sweeps_check(max_n, 10)
     if "oracle" in wanted:
         results += fixtures_check()
         results += structural_check(max_n, min(8, max_n), 5)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import chromasym
 from chromasym import cli
 from chromasym.cli import main
+from chromasym.csf import DEFAULT_MAX_VERTICES
 from chromasym.families import FAMILIES
 from chromasym.symfun import _MEMOS, SymE
 
@@ -60,6 +62,16 @@ def test_csf_bad_graph_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "csf", "--graph", "heptagon:9")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("spec", ["twin-cycle:2", "cycle:2"])
+def test_csf_of_a_pinned_member_is_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "csf", "--graph", spec)
+    name = spec.partition(":")[0]
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: family {name!r} at n=2 is a pinned convention")
+    assert "Traceback" not in err
 
 
 def test_csf_too_many_edges_is_usage_error(monkeypatch, capsys):
@@ -249,6 +261,12 @@ def test_verify_bounds_below_the_floor_are_usage_errors(capsys, suite, flag, flo
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be >= {floor}, got {value}\n"
+    # and above the ceiling: the oracle's vertex bound and the CLI depth cap
+    ceiling = {"--max-n": DEFAULT_MAX_VERTICES, "--max-deg": cli.MAX_DEPTH}[flag]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, str(ceiling + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be <= {ceiling}, got {ceiling + 1}\n"
 
 
 def test_verify_at_the_floors_checks_something_in_every_group(capsys):
@@ -260,6 +278,37 @@ def test_verify_at_the_floors_checks_something_in_every_group(capsys):
     for case in cases:
         assert case["status"] == "pass", case
         assert case["expected"] != "0 checks", case
+
+
+def test_verify_at_the_default_bounds_keeps_every_group(capsys):
+    # 38 is the group count the verify-all benchmark gates on
+    # (VerifyAll.MIN_GROUPS in perfbench/workloads.py)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["failed"] == 0
+    assert len(report["cases"]) >= 38
+
+
+def _failed_groups(results) -> set[str]:
+    return {r.case.partition(":")[0] for r in results if r.status != "pass"}
+
+
+def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch):
+    verify, families = cli.verify, cli.families
+    assert _failed_groups(verify.series_identities_check(8)) == set()
+    assert _failed_groups(verify.coefficient_sweeps_check(7)) == set()
+
+    # the leaf twin's full form declared at scale 2, not 1
+    leaf = FAMILIES["twin-path-leaf"]
+    wrong = dict(leaf.gfs, full=(2, lambda N, ell: families.leaf_twin_gf(N)))
+    monkeypatch.setitem(FAMILIES, "twin-path-leaf", dataclasses.replace(leaf, gfs=wrong))
+    assert _failed_groups(verify.series_identities_check(8)) == {"twin-path-leaf-gf"}
+    monkeypatch.undo()
+
+    # the twinned cycle's coefficient formula read at scale 1, not 2
+    cyc = FAMILIES["twin-cycle"]
+    monkeypatch.setitem(FAMILIES, "twin-cycle", dataclasses.replace(cyc, coeff_scale=1))
+    assert _failed_groups(verify.coefficient_sweeps_check(7)) == {"coefficient-formulas"}
 
 
 def test_cli_depth_cap_stops_before_any_work(monkeypatch, capsys):

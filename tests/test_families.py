@@ -427,8 +427,9 @@ def test_family_instances_inventory():
             "tadpole": 6}
     members = list(family_instances(9))
     counts = {}
-    for label, graph, methods in members:
-        name, _, params = label.partition(":")
+    for name, label, graph, methods in members:
+        assert label.startswith(f"{name}:n=")
+        params = label.partition(":")[2]
         counts[name] = counts.get(name, 0) + 1
         assert tuple(methods) == fam.methods_for(name)
         if graph is None:
@@ -441,4 +442,4 @@ def test_family_instances_inventory():
     assert counts == want
     assert set(counts) == set(fam.FAMILIES)
     assert len(members) == 154
-    assert sum(graph is not None for _, graph, _ in members) == 150
+    assert sum(graph is not None for _, _, graph, _ in members) == 150

@@ -147,3 +147,16 @@ def test_triangles_enumeration():
     assert list(triangles(cycle(3))) == [(0, 1, 2)]
     k4 = family("twin-cycle", 3)
     assert len(list(triangles(k4))) == 4
+
+
+@pytest.mark.parametrize("name", ["twin-cycle", "cycle"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pinned_members_have_no_graph(name, n):
+    want = (f"family {name!r} at n={n} is a pinned convention with no graph; "
+            f"graphs start at n=3")
+    with pytest.raises(ValueError) as by_family:
+        family(name, n)
+    with pytest.raises(ValueError) as by_spec:
+        parse_graph(f"{name}:{n}")
+    assert str(by_family.value) == str(by_spec.value) == want
+    assert family(name, 3).n >= 3
