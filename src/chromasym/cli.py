@@ -20,9 +20,9 @@ from .symfun import SymE
 
 USAGE_ERROR = 2
 
-# Deepest series --N and family --n the CLI computes: the deepest truncation
-# the benchmark workloads use, past which one call takes seconds and grows
-# fast with the depth.  The library functions themselves are not capped.
+# Deepest series --N, family --n and coeff member n the CLI computes: the
+# deepest truncation the benchmark workloads use, past which one call takes
+# seconds and grows fast with the depth.  Library functions are not capped.
 MAX_DEPTH = 36
 
 
@@ -96,6 +96,10 @@ def _cmd_family(args) -> int:
 
 def _cmd_coeff(args) -> int:
     lam = parse_partition(args.lam)
+    extra = families.family_spec(args.family).extra
+    if sum(lam) - extra > MAX_DEPTH:
+        raise ValueError(f"--lambda must be of size at most {MAX_DEPTH + extra} "
+                         f"(n <= {MAX_DEPTH}), got {sum(lam)}")
     value = families.coeff_value(args.family, lam)
     if args.json:
         print(json.dumps({"family": args.family,

@@ -61,7 +61,7 @@ def path_seq(n: int) -> SymE:
     got = _path_cache.get(n)
     if got is not None:
         return got
-    _check_member("path", n)
+    FAMILIES["path"].check("path", n, None)
     return _recur(_path_cache, n, lambda: {0: SymE.one()}, 1, 1, lambda m: e(m) * m)
 
 
@@ -73,7 +73,7 @@ def cycle_seq(n: int) -> SymE:
     got = _cycle_cache.get(n)
     if got is not None:
         return got
-    _check_member("cycle", n)
+    FAMILIES["cycle"].check("cycle", n, None)
     return _recur(_cycle_cache, n, dict, 1, 2, lambda m: e(m) * (m * (m - 1)))
 
 
@@ -459,11 +459,6 @@ def twin_cycle_gf_half(trunc: int) -> Series:
     return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num * inv_d
 
 
-def _twin_cycle_pinned(n: int) -> SymE:
-    # the conventions X_{C_{1,v}} = 2e_2 and X_{C_{2,v}} = 6e_3
-    return e(2) * 2 if n == 1 else e(3) * 6
-
-
 _twin_cycle_rec_cache: dict[int, SymE] = _memo()
 
 
@@ -563,8 +558,8 @@ def path_cycle_coeff(which: str, lam) -> int:
 # verify sweeps and the CLI help all derive from it
 
 
-def _canon_method(method: str) -> str:
-    return method.strip().lower().replace("_", "-")
+def _canon(name: str) -> str:
+    return name.strip().lower().replace("_", "-")
 
 
 @dataclass(frozen=True)
@@ -580,14 +575,17 @@ class FamilySpec:
     member, the first being the default.  gfs maps each name of an equal
     form of the generating function, the e-positive one first, to
     (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
-    scale * f is the member's value.  coeff(lam) is the printed coefficient
-    formula: for n >= coeff_from, coeff_scale * coeff(lam) is the e_lam
-    coefficient of the value at n = |lam| - extra, and None means no printed
-    form.  e_positive marks the families the paper claims e-positive.
+    scale * f is the member's value.  A route may instead name a gfs form:
+    family_value then extracts that coefficient from f(n + extra, ell), and
+    below gf_from it gives the default route's value.  coeff(lam) is the
+    printed coefficient formula: for n >= coeff_from, coeff_scale * coeff(lam)
+    is the e_lam coefficient of the value at n = |lam| - extra, and None means
+    no printed form.  e_positive marks the families the paper claims
+    e-positive.
     """
 
     graph: Callable[[int, Optional[int]], Graph]
-    routes: dict[str, Callable[[int, Optional[int]], SymE]]
+    routes: dict[str, Callable[[int, Optional[int]], SymE] | str]
     min_n: int
     extra: int
     ells: Optional[Callable[[int], range]] = None
@@ -620,20 +618,21 @@ FAMILIES: dict[str, FamilySpec] = {
     "path": FamilySpec(
         lambda n, ell: path(n),
         {"recurrence": lambda n, ell: path_seq(n),
-         "gf": lambda n, ell: ps.path_gf(n).extract(n)},
-        min_n=0, extra=0, coeff=lambda lam: path_cycle_coeff("path", lam), coeff_from=1,
-        e_positive=True),
+         "gf": "full"},
+        min_n=0, extra=0, gfs={"full": (1, lambda N, ell: ps.path_gf(N))},
+        coeff=lambda lam: path_cycle_coeff("path", lam), coeff_from=1, e_positive=True),
     "cycle": FamilySpec(
         lambda n, ell: cycle(n),
         {"recurrence": lambda n, ell: cycle_seq(n),
-         "gf": lambda n, ell: ps.cycle_gf(n).extract(n)},
+         "gf": "full"},
         min_n=1, extra=0, pinned_below=3,
+        gfs={"full": (1, lambda N, ell: ps.cycle_gf(N))}, gf_from=1,
         coeff=lambda lam: path_cycle_coeff("cycle", lam), coeff_from=1, e_positive=True),
     # the clone n of the leaf n-1 (of the only vertex when n = 1)
     "twin-path-leaf": FamilySpec(
         lambda n, ell: twin(path(n), n - 1),
         {"identity": lambda n, ell: path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2,
-         "gf": lambda n, ell: leaf_twin_gf_half(n + 2).extract(n + 1) * 2,
+         "gf": "half",
          "recurrence": lambda n, ell: _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2},
                                              2, 2, _leaf_twin_drive)},
         min_n=1, extra=1,
@@ -642,15 +641,14 @@ FAMILIES: dict[str, FamilySpec] = {
              "full": (1, lambda N, ell: leaf_twin_gf(N))}, gf_from=1,
         coeff=lambda lam: twin_path_leaf_coeff(lam), coeff_from=1, e_positive=True),
     # the clone n of 0, then the clone n+1 of n-1; the identity and the gf
-    # start at n = 3, so n = 2 (K_4) is pinned for them, but the coefficient
-    # formula holds at n = 2 too
+    # start at n = 3, so the identity pins n = 2 (K_4) and the gf route falls
+    # back to it, but the coefficient formula holds at n = 2 too
     "twin-path-both": FamilySpec(
         lambda n, ell: twin(twin(path(n), 0), n - 1),
         {"identity": lambda n, ell: e(4) * 24 if n == 2 else (
             path_seq(n + 2) - e(2) * path_seq(n) * 2
             + e_term((2, 2)) * path_seq(n - 2)) * 4,
-         "gf": lambda n, ell: e(4) * 24 if n == 2 else (
-             both_leaves_gf_quarter(n + 3).extract(n + 2) * 4),
+         "gf": "quarter",
          "recurrence": lambda n, ell: _recur(_both_rec_cache, n, _both_leaves_seeds,
                                              4, 3, _both_leaves_drive)},
         min_n=2, extra=2,
@@ -661,8 +659,8 @@ FAMILIES: dict[str, FamilySpec] = {
     "twin-path-interior": FamilySpec(
         lambda n, ell: twin(path(n), ell - 1),
         {"identity": lambda n, ell: _interior_identity(n, ell),
-         "gf": lambda n, ell: interior_gf(ell, n + 2).extract(n + 1),
-         "epos-gf": lambda n, ell: interior_gf_epos_half(ell, n + 2).extract(n + 1) * 2,
+         "gf": "full",
+         "epos-gf": "epos-half",
          "recurrence": lambda n, ell: _interior_recurrence(n, ell)},
         min_n=3, extra=1, ells=lambda n: range(2, n),
         gfs={"epos-half": (2, lambda N, ell: interior_gf_epos_half(ell, N)),
@@ -678,11 +676,10 @@ FAMILIES: dict[str, FamilySpec] = {
     # the n = 2 convention
     "twin-cycle": FamilySpec(
         lambda n, ell: twin(cycle(n), 0),
-        {"identity": lambda n, ell: _twin_cycle_pinned(n) if n <= 2 else (
+        {"identity": lambda n, ell: {1: e(2) * 2, 2: e(3) * 6}[n] if n <= 2 else (
             cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
             - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2),
-         "gf": lambda n, ell: _twin_cycle_pinned(n) if n <= 2 else (
-             twin_cycle_gf_half(n + 2).extract(n + 1) * 2),
+         "gf": "half",
          "recurrence": lambda n, ell: _recur(_twin_cycle_rec_cache, n,
                                              lambda: {1: e(2) * 2}, 2, 2, _twin_cycle_drive)},
         min_n=1, extra=1, pinned_below=3,
@@ -724,16 +721,10 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def _check_member(name: str, n: int, ell: Optional[int] = None) -> None:
-    # the path and cycle memo entry points check on a miss, with the table's
-    # domain and messages
-    FAMILIES[name].check(name, n, ell)
-
-
 def family_spec(name: str) -> FamilySpec:
     """The table entry for a family name; - or _ separators and a twinned-
     prefix are accepted."""
-    key = name.strip().lower().replace("_", "-")
+    key = _canon(name)
     if key.startswith("twinned-"):
         key = "twin-" + key[len("twinned-"):]
     if key not in FAMILIES:
@@ -751,15 +742,21 @@ def family_value(name: str, n: int, ell: Optional[int] = None,
     """Value dispatcher: one family tag, one n (and ell), one method.
 
     The CLI and every public route function come through here, so the domain
-    check and the method lookup happen in one place.
+    check, the method lookup and the extraction of a route that names a gf
+    form happen in one place.
     """
     spec = family_spec(name)
     spec.check(name, n, ell)
-    method = _canon_method(method) if method else next(iter(spec.routes))
+    method = _canon(method) if method else next(iter(spec.routes))
     route = spec.routes.get(method)
     if route is None:
         raise ValueError(f"family {name!r} has no method {method!r}")
-    return route(n, ell)
+    if not isinstance(route, str):
+        return route(n, ell)
+    if n < spec.gf_from:
+        return next(iter(spec.routes.values()))(n, ell)
+    scale, form = spec.gfs[route]
+    return form(n + spec.extra, ell).extract(n + spec.extra) * scale
 
 
 def coeff_value(name: str, lam) -> Optional[int]:
@@ -767,4 +764,8 @@ def coeff_value(name: str, lam) -> Optional[int]:
     spec = family_spec(name)
     if spec.coeff is None:
         raise ValueError(f"no coefficient formulas for family {name!r}")
+    lam = make_partition(lam)
+    if sum(lam) - spec.extra < spec.coeff_from:
+        raise ValueError(f"family {name!r} has coefficient formulas for "
+                         f"|lambda| >= {spec.coeff_from + spec.extra}, got {sum(lam)}")
     return spec.coeff(lam)

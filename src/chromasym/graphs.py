@@ -137,6 +137,13 @@ def family(name: str, n: int, ell: Optional[int] = None) -> Graph:
     return spec.graph(n, ell)
 
 
+def _int(token: str, spec: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad graph spec {spec!r}: {token!r} is not an integer") from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the CLI graph vocabulary.
 
@@ -145,33 +152,25 @@ def parse_graph(text: str) -> Graph:
     """
     text = text.strip()
     if text.startswith("twin(") and text.endswith(")"):
-        inner = text[len("twin("):-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-        if split < 0:
+        # the vertex has no comma, so it follows the last one
+        base, comma, vertex = text[len("twin("):-1].rpartition(",")
+        if not comma:
             raise ValueError(f"bad twin spec {text!r}")
-        base = parse_graph(inner[:split])
-        return twin(base, int(inner[split + 1:]))
+        v = _int(vertex, text)
+        return twin(parse_graph(base), v)
     if text.startswith("g:"):
         n = None
         edges: list[tuple[int, int]] = []
         for field in text[2:].split(";"):
             field = field.strip()
             if field.startswith("n="):
-                n = int(field[2:])
+                n = _int(field[2:], text)
             elif field.startswith("edges="):
                 body = field[len("edges="):]
                 if body:
                     for tok in body.split(","):
-                        a, b = tok.split("-")
-                        edges.append((int(a), int(b)))
+                        a, _, b = tok.partition("-")
+                        edges.append((_int(a, text), _int(b, text)))
             elif field:
                 raise ValueError(f"bad graph field {field!r}")
         if n is None:
@@ -180,7 +179,7 @@ def parse_graph(text: str) -> Graph:
     if ":" not in text:
         raise ValueError(f"bad graph spec {text!r}")
     name, _, args = text.partition(":")
-    params = [int(tok) for tok in args.split(",")] if args else []
+    params = [_int(tok, text) for tok in args.split(",")] if args else []
     if len(params) == 1:
         return family(name, params[0])
     if len(params) == 2:

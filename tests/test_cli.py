@@ -170,6 +170,21 @@ def test_coeff_not_covered(capsys):
     assert "not covered" in out
 
 
+def test_coeff_outside_the_family_domain_is_usage_error(capsys):
+    # the smallest partition size of each family's domain is accepted and the
+    # size below it refused; "0" is the empty partition
+    for name, spec in FAMILIES.items():
+        if spec.coeff is None:
+            continue
+        least = spec.coeff_from + spec.extra
+        code, out, _ = run_cli(capsys, "coeff", "--family", name, "--lambda", str(least))
+        assert code == 0 and out, name
+        code, out, err = run_cli(capsys, "coeff", "--family", name, "--lambda", str(least - 1))
+        assert code == 2 and out == "", name
+        assert err == (f"error: family {name!r} has coefficient formulas for "
+                       f"|lambda| >= {least}, got {least - 1}\n")
+
+
 def test_coeff_json(capsys):
     code, out, _ = run_cli(capsys, "coeff", "--family", "path",
                            "--lambda", "5,1", "--json")
@@ -287,6 +302,7 @@ def test_verify_at_the_default_bounds_keeps_every_group(capsys):
     report = json.loads(out)
     assert code == 0 and report["failed"] == 0
     assert len(report["cases"]) >= 38
+    assert {"path-gf", "cycle-gf"} <= {case["case"] for case in report["cases"]}
 
 
 def _failed_groups(results) -> set[str]:
@@ -311,17 +327,34 @@ def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch
     assert _failed_groups(verify.coefficient_sweeps_check(7)) == {"coefficient-formulas"}
 
 
+def test_a_gf_route_reads_its_form_from_the_table(monkeypatch):
+    verify, families = cli.verify, cli.families
+    right = families.family_value("twin-path-leaf", 4, method="gf")
+    assert _failed_groups(verify.family_sweep_check(6)) == set()
+
+    # the leaf twin's half form declared at scale 1, not 2
+    leaf = FAMILIES["twin-path-leaf"]
+    wrong = dict(leaf.gfs, half=(1, leaf.gfs["half"][1]))
+    monkeypatch.setitem(FAMILIES, "twin-path-leaf", dataclasses.replace(leaf, gfs=wrong))
+    assert families.family_value("twin-path-leaf", 4, method="gf") * 2 == right
+    assert _failed_groups(verify.family_sweep_check(6)) == {"method-and-oracle-agreement"}
+
+
 def test_cli_depth_cap_stops_before_any_work(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("computed past the depth cap")
 
     monkeypatch.setattr(cli.powerseries, "named_series", no_work)
     monkeypatch.setattr(cli.families, "family_value", no_work)
+    monkeypatch.setattr(cli.families, "coeff_value", no_work)
     for argv, flag in ((("series", "--name", "path-gf", "--N", "100000"), "--N"),
                        (("series", "--name", "path-gf", "--N", "-1"), "--N"),
                        (("series", "--name", "E", "--N", str(cli.MAX_DEPTH + 1)), "--N"),
                        (("family", "--name", "twin-cycle", "--n", str(cli.MAX_DEPTH + 1)),
-                        "--n")):
+                        "--n"),
+                       # twin-path-leaf has one extra vertex: n = |lambda| - 1
+                       (("coeff", "--family", "twin-path-leaf",
+                         "--lambda", str(cli.MAX_DEPTH + 2)), "--lambda")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
@@ -333,6 +366,10 @@ def test_cli_depth_cap_admits_the_cap(capsys):
                            "--extract", str(cli.MAX_DEPTH))
     assert code == 0
     assert out.strip() == f"e[{cli.MAX_DEPTH}]"
+    code, out, _ = run_cli(capsys, "coeff", "--family", "twin-path-leaf",
+                           "--lambda", str(cli.MAX_DEPTH + 1))
+    assert code == 0
+    assert out.strip() == str(2 * (cli.MAX_DEPTH + 1))
 
 
 def test_python_dash_m_runs_the_cli():
@@ -383,13 +420,27 @@ _METHODS = st.sampled_from(["all", "identity", "gf", "epos-gf", "epos_gf",
                             "recurrence", "oracle", ""])
 _PARTITIONS = st.sampled_from(["0", "5", "5,2", "4,1,1", "3,3", "12", "2,2,2,2",
                                "", "x", "3,-1", "0,1", "1.5", "5,,2"])
-_MALFORMED_GRAPHS = st.sampled_from([
+_MALFORMED_GRAPH_SPECS = [
     "", "path", "path:", "path:x", "path:1.5", "path:3,4,5", "heptagon:9",
-    "twin(path:3", "twin(path:3)", "twin(path:3,x)", "twin(path:3,7)",
-    "g:n=3;edges=0-5", "g:n=3;edges=-1-2", "g:n=3;edges=0-0", "g:edges=0-1",
-    "g:n=x", "g:n=-1", "g:n=3;foo=1", "g:n=3;edges=0-1-2", "g:n=3;edges=0-",
-    "cycle:2", "(", ")",
-])
+    "flagpole:3,x", "twin(path:3", "twin(path:3)", "twin(path:3,x)", "twin(path:3,7)",
+    "twin(twin(path:3,1))", "g:n=3;edges=0-5", "g:n=3;edges=-1-2", "g:n=3;edges=0-0",
+    "g:edges=0-1", "g:n=x", "g:n=-1", "g:n=3;foo=1", "g:n=3;edges=0-1-2",
+    "g:n=3;edges=0-1,,1-2", "g:n=3;edges=0-", "cycle:2", "(", ")",
+]
+_MALFORMED_GRAPHS = st.sampled_from(_MALFORMED_GRAPH_SPECS)
+
+
+@pytest.mark.parametrize("spec", _MALFORMED_GRAPH_SPECS)
+def test_malformed_graph_spec_is_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "csf", "--graph", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "unpack" not in err and "invalid literal" not in err
+    bad_token = {"path:x": "x", "path:1.5": "1.5", "flagpole:3,x": "x", "twin(path:3,x)": "x",
+                 "g:n=x": "x", "g:n=3;edges=0-1-2": "1-2", "g:n=3;edges=0-1,,1-2": ""}
+    if spec in bad_token:
+        assert err == f"error: bad graph spec {spec!r}: {bad_token[spec]!r} is not an integer\n"
 
 
 @st.composite

@@ -410,6 +410,16 @@ def test_route_functions_share_the_table_domain():
         fam.moose(4, "gf")
 
 
+def test_named_routes_are_gf_forms_of_their_entry():
+    for name, spec in fam.FAMILIES.items():
+        default, *others = spec.routes.values()
+        assert callable(default), name  # the value below gf_from
+        for route in others:
+            assert callable(route) or route in spec.gfs, (name, route)
+        if spec.gfs:
+            assert spec.gf_from >= spec.min_n, name
+
+
 def test_coeff_value_dispatch():
     assert fam.coeff_value("twinned-cycle", (5,)) == 25
     assert fam.coeff_value("path", (5, 1)) == 4
