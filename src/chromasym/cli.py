@@ -16,14 +16,10 @@ import sys
 from . import families, graphs, powerseries, verify
 from .csf import chromatic_count_check, csf
 from .partitions import format_partition, parse_partition
+from .powerseries import MAX_DEPTH
 from .symfun import SymE
 
 USAGE_ERROR = 2
-
-# Deepest series --N, family --n and coeff member n the CLI computes: the
-# deepest truncation the benchmark workloads use, past which one call takes
-# seconds and grows fast with the depth.  Library functions are not capped.
-MAX_DEPTH = 36
 
 
 def _print_value(value: SymE, as_json: bool, meta: dict | None = None) -> None:

@@ -5,11 +5,11 @@ by the vertex partition each subset S induces (the bond lattice):
 X_G = sum over partitions pi of V into connected blocks of
 prod_B c(B) p_{type(pi)}, where c(B) is the signed count of connected spanning
 edge sets of G[B].  The work grows with the connected vertex sets and their
-independent subsets, at most 3^(n-1) steps, not with 2^{|E|}, and it lands
-directly in symmetric function form.  Independent cross-checks live alongside
-it: the proper-coloring count, which sums over partitions of V into
-independent sets and never touches symmetric functions, and the triangle
-deletion identities.
+independent subsets, at most 3^(n-1) steps, not with 2^{|E|}, so the vertex
+count is the oracle's one bound, and it lands directly in symmetric function
+form.  Independent cross-checks live alongside it: the proper-coloring count,
+which sums over partitions of V into independent sets and never touches
+symmetric functions, and the triangle deletion identities.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .graphs import Graph, add_edge, delete_edge, twin
 from .symfun import SymE, _memo, e, power_sum_lambda_to_e
 
 DEFAULT_MAX_VERTICES = 14
-DEFAULT_MAX_EDGES = 20
+COUNT_MAX_VERTICES, COUNT_MAX_K = 8, 5  # chromatic_count_check's bounds
 
 _csf_memo: dict[tuple[int, tuple], SymE] = _memo()
 
@@ -31,18 +31,16 @@ def _bits(mask: int):
         mask ^= bit
 
 
-def csf(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES,
-        max_edges: int = DEFAULT_MAX_EDGES) -> SymE:
+def csf(g: Graph) -> SymE:
     """Exact e-expansion of the chromatic symmetric function of g.
 
-    Size-guarded by vertices and by edges: the work grows with the connected
-    vertex sets of g, up to about 3^n steps, not with 2^{|E|}.  Results are
+    Refuses more than DEFAULT_MAX_VERTICES vertices, before any work: the
+    work grows with the connected vertex sets of g, up to about 3^n steps,
+    not with 2^{|E|}, so the edge count needs no bound.  Results are
     memoized by (n, edge set).
     """
-    if g.n > max_vertices:
-        raise ValueError(f"graph has {g.n} vertices, oracle bound is {max_vertices}")
-    if len(g.edges) > max_edges:
-        raise ValueError(f"graph has {len(g.edges)} edges, oracle bound is {max_edges}")
+    if g.n > DEFAULT_MAX_VERTICES:
+        raise ValueError(f"graph has {g.n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
 
     key = (g.n, tuple(g.edge_list()))
     cached = _csf_memo.get(key)
@@ -147,15 +145,16 @@ def count_proper_colorings(g: Graph, k: int) -> int:
     return total
 
 
-def chromatic_count_check(g: Graph, k: int, max_vertices: int = 8, max_k: int = 5) -> bool:
+def chromatic_count_check(g: Graph, k: int) -> bool:
     """True iff csf(g) specialized at k ones matches the brute-force coloring count.
 
     Specializing e_i at x_1 = ... = x_k = 1 gives binom(k, i), so the left
-    side is sum_lam c_lam prod_i binom(k, lam_i).
+    side is sum_lam c_lam prod_i binom(k, lam_i).  Takes at most
+    COUNT_MAX_VERTICES vertices and COUNT_MAX_K colors.
     """
     if k < 0:
         raise ValueError("palette size must be >= 0")
-    if g.n > max_vertices or k > max_k:
+    if g.n > COUNT_MAX_VERTICES or k > COUNT_MAX_K:
         raise ValueError(f"count check bound exceeded (n={g.n}, k={k})")
     specialized = csf(g).eval_elementary([1] * k)
     return specialized == count_proper_colorings(g, k)

@@ -151,7 +151,9 @@ def parse_graph(text: str) -> Graph:
     "g:n=5;edges=0-1,1-2".  Family names accept - or _ separators.
     """
     text = text.strip()
-    if text.startswith("twin(") and text.endswith(")"):
+    if text.startswith("twin("):
+        if not text.endswith(")"):
+            raise ValueError(f"bad twin spec {text!r}: missing the closing ')'")
         # the vertex has no comma, so it follows the last one
         base, comma, vertex = text[len("twin("):-1].rpartition(",")
         if not comma:

@@ -17,6 +17,12 @@ from typing import Callable, Optional
 
 from .symfun import SymE, _sum_of_products, e
 
+# Deepest truncation the CLI computes (series --N, family --n, the coeff
+# member n, verify --max-deg): the deepest the benchmark workloads use, past
+# which one call takes seconds and grows fast with the depth.  Library
+# functions are not capped.
+MAX_DEPTH = 36
+
 
 class Series:
     """Truncated power series with SymE coefficients."""
@@ -33,10 +39,6 @@ class Series:
             coeffs += [SymE.zero()] * (trunc + 1 - len(coeffs))
         self.trunc = trunc
         self.coeffs = tuple(coeffs[: trunc + 1])
-
-    @classmethod
-    def zero(cls, trunc: int) -> "Series":
-        return cls([SymE.zero()] * (trunc + 1), trunc)
 
     @classmethod
     def one(cls, trunc: int) -> "Series":
@@ -109,9 +111,6 @@ class Series:
             return self.__mul__(other)
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def graded_ok(self) -> bool:
         """True when every nonzero z^d coefficient is homogeneous of degree d."""
         return all((not c) or c.homogeneous_degree() == d
@@ -125,21 +124,16 @@ class Series:
 def invert_unit(f: Series) -> Series:
     """Multiplicative inverse of a series with constant term exactly 1.
 
-    Uses the geometric expansion 1/f = sum_i (1-f)^i, which stabilizes at the
-    truncation because 1-f has positive z-valuation.
+    Solves h f = 1 degree by degree: h_0 = 1 and
+    h_d = sum_{i=1}^{d} (-f_i) h_{d-i}.
     """
     if f.extract(0) != SymE.one():
         raise ValueError("invert_unit requires constant term exactly 1")
-    n = f.trunc
-    g = Series.one(n) - f
-    acc = Series.one(n)
-    power = Series.one(n)
-    for _ in range(n):
-        power = power * g
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    neg = [-c for c in f.coeffs]
+    h = [SymE.one()]
+    for d in range(1, f.trunc + 1):
+        h.append(_sum_of_products((neg[i], h[d - i]) for i in range(1, d + 1) if neg[i]))
+    return Series(h, f.trunc)
 
 
 def e_weighted(trunc: int, lo: int, weight: Callable[[int], int],

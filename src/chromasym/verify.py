@@ -15,11 +15,12 @@ from math import comb
 from . import families as fam
 from . import graphs
 from . import powerseries as ps
-from .csf import (DEFAULT_MAX_VERTICES, chromatic_count_check, csf,
-                  leaf_twin_reduction_check, near_triangle_check, triple_deletion_check)
+from .csf import (COUNT_MAX_K, COUNT_MAX_VERTICES, DEFAULT_MAX_VERTICES,
+                  chromatic_count_check, csf, leaf_twin_reduction_check,
+                  near_triangle_check, triple_deletion_check)
 from .partitions import (epsilon, epsilon_minus, multiplicities, partitions_of,
                          remove_part, support, union)
-from .powerseries import Series
+from .powerseries import MAX_DEPTH, Series
 from .symfun import SymE, e, e_term
 
 EPSILON_TABLE = {
@@ -377,37 +378,33 @@ def e_positivity_check(trunc: int = 12, max_vertices: int = 9) -> list[CaseResul
     return col.results
 
 
-def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[str]:
+def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[CaseResult]:
     """Verify the table of special coefficients on computed sequences.
 
-    Returns a list of mismatch descriptions (empty when everything agrees):
-    [e_n] X_{P_n} = n, [e_{n-1}e_1] X_{P_n} = n-2, [e_n] X_{C_n} = n(n-1) for
-    n >= 2; [e_{n-2}e_2] X_{P_n} = 3n-8 and [e_{n-2}e_2] X_{C_n} = n(n-3) for
-    n >= 5; [e_k^r] X_{P_{kr}} = k(k-1)^{r-1} and [e_{k^r}] X_{C_{kr}} =
-    k(k-1)^r; [e_2^2] X_{C_4} = 2.
+    One check each for [e_n] X_{P_n} = n, [e_{n-1}e_1] X_{P_n} = n-2,
+    [e_n] X_{C_n} = n(n-1) for n >= 2; [e_{n-2}e_2] X_{P_n} = 3n-8 and
+    [e_{n-2}e_2] X_{C_n} = n(n-3) for n >= 5; [e_k^r] X_{P_{kr}} =
+    k(k-1)^{r-1} and [e_{k^r}] X_{C_{kr}} = k(k-1)^r; [e_2^2] X_{C_4} = 2.
     """
-    bad: list[str] = []
-
-    def expect(desc: str, got: int, want: int) -> None:
-        if got != want:
-            bad.append(f"{desc}: got {got}, want {want}")
-
-    for n in range(2, max_n + 1):
-        expect(f"[e_{n}] path({n})", fam.path_seq(n).coefficient((n,)), n)
-        expect(f"[e_{n-1}e_1] path({n})", fam.path_seq(n).coefficient((n - 1, 1)), n - 2)
-        expect(f"[e_{n}] cycle({n})", fam.cycle_seq(n).coefficient((n,)), n * (n - 1))
-    for n in range(5, max_n + 1):
-        expect(f"[e_{n-2}e_2] path({n})", fam.path_seq(n).coefficient((n - 2, 2)), 3 * n - 8)
-        expect(f"[e_{n-2}e_2] cycle({n})", fam.cycle_seq(n).coefficient((n - 2, 2)), n * (n - 3))
-    for k in range(2, max_kr + 1):
-        for r in range(1, max_kr // k + 1):
-            lam = (k,) * r
-            expect(f"[e_({k}^{r})] path({k * r})",
-                   fam.path_seq(k * r).coefficient(lam), k * (k - 1) ** (r - 1))
-            expect(f"[e_({k}^{r})] cycle({k * r})",
-                   fam.cycle_seq(k * r).coefficient(lam), k * (k - 1) ** r)
-    expect("[e_2^2] cycle(4)", fam.cycle_seq(4).coefficient((2, 2)), 2)
-    return bad
+    col = Collector("families")
+    with col.group("coefficient-specials") as g:
+        path, cycle = fam.path_seq, fam.cycle_seq
+        for n in range(2, max_n + 1):
+            g.check(f"[e_{n}] path({n})", path(n).coefficient((n,)), n)
+            g.check(f"[e_{n-1}e_1] path({n})", path(n).coefficient((n - 1, 1)), n - 2)
+            g.check(f"[e_{n}] cycle({n})", cycle(n).coefficient((n,)), n * (n - 1))
+        for n in range(5, max_n + 1):
+            g.check(f"[e_{n-2}e_2] path({n})", path(n).coefficient((n - 2, 2)), 3 * n - 8)
+            g.check(f"[e_{n-2}e_2] cycle({n})", cycle(n).coefficient((n - 2, 2)), n * (n - 3))
+        for k in range(2, max_kr + 1):
+            for r in range(1, max_kr // k + 1):
+                lam = (k,) * r
+                g.check(f"[e_({k}^{r})] path({k * r})",
+                        path(k * r).coefficient(lam), k * (k - 1) ** (r - 1))
+                g.check(f"[e_({k}^{r})] cycle({k * r})",
+                        cycle(k * r).coefficient(lam), k * (k - 1) ** r)
+        g.check("[e_2^2] cycle(4)", cycle(4).coefficient((2, 2)), 2)
+    return col.results
 
 
 def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResult]:
@@ -476,12 +473,7 @@ def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResu
                     fam.twin_path_leaf_coeff((2,) * k + (1,)), 0)
         for k in range(2, max_size // 2 + 1):
             g.check(f"case-h-zero:{k}", fam.twin_path_leaf_coeff((2,) * k), 0)
-
-    with col.group("coefficient-specials") as g:
-        for line in coeff_specials_check(grid, grid):
-            g.check_true(line, False, line)
-        g.check_true("table", True)
-    return col.results
+    return col.results + coeff_specials_check(grid, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +522,7 @@ def fixtures_check() -> list[CaseResult]:
     return col.results
 
 
-def structural_check(max_vertices: int = 9, count_vertices: int = 8,
-                     max_k: int = 5) -> list[CaseResult]:
+def structural_check(max_vertices: int = 9) -> list[CaseResult]:
     col = Collector("oracle")
     inventory = [(label, graph) for _, label, graph, _ in family_instances(max_vertices)
                  if graph is not None]
@@ -569,11 +560,10 @@ def structural_check(max_vertices: int = 9, count_vertices: int = 8,
 
     with col.group("coloring-counts") as g:
         for label, graph in inventory:
-            if graph.n > count_vertices:
+            if graph.n > COUNT_MAX_VERTICES:
                 continue
-            for k in range(1, max_k + 1):
-                g.check_true(f"{label}:k={k}",
-                             chromatic_count_check(graph, k, count_vertices, max_k))
+            for k in range(1, COUNT_MAX_K + 1):
+                g.check_true(f"{label}:k={k}", chromatic_count_check(graph, k))
 
     with col.group("twin-edge-count") as g:
         for label, graph in inventory:
@@ -604,7 +594,6 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
     if max_deg < 2:
         raise ValueError(f"--max-deg must be >= 2, got {max_deg}")
     # above these ceilings the oracle or the CLI would refuse the work
-    from .cli import MAX_DEPTH  # deferred: cli imports this module
     if max_n > DEFAULT_MAX_VERTICES:
         raise ValueError(f"--max-n must be <= {DEFAULT_MAX_VERTICES}, got {max_n}")
     if max_deg > MAX_DEPTH:
@@ -624,6 +613,6 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
         results += coefficient_sweeps_check(max_n, 10)
     if "oracle" in wanted:
         results += fixtures_check()
-        results += structural_check(max_n, min(8, max_n), 5)
+        results += structural_check(max_n)
     results.sort(key=lambda r: (r.suite, r.case))
     return results

@@ -62,6 +62,5 @@ def test_criterion_7_structural_properties():
     _run("criterion 7 (statistic identities, deletion identities, colorings)",
          [lambda: verify.epsilon_properties_check(max_size=12, max_union=10),
           lambda: verify.enumeration_check(max_size=12),
-          lambda: verify.structural_check(max_vertices=9, count_vertices=8,
-                                          max_k=5)],
+          lambda: verify.structural_check(max_vertices=9)],
          limit=5.0)

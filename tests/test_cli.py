@@ -74,15 +74,22 @@ def test_csf_of_a_pinned_member_is_usage_error(capsys, spec):
     assert "Traceback" not in err
 
 
-def test_csf_too_many_edges_is_usage_error(monkeypatch, capsys):
-    # the edge bound is checked before the memo lookup and any oracle work
+def test_csf_too_many_vertices_is_usage_error(monkeypatch, capsys):
+    # the vertex bound is checked before the memo lookup and any oracle work
     monkeypatch.setattr(importlib.import_module("chromasym.csf"), "_csf_memo", None)
-    edges = ",".join(f"{a}-{b}" for a, b in combinations(range(14), 2))
-    code, out, err = run_cli(capsys, "csf", "--graph", f"g:n=14;edges={edges}")
+    edges = ",".join(f"{a}-{b}" for a, b in combinations(range(15), 2))
+    code, out, err = run_cli(capsys, "csf", "--graph", f"g:n=15;edges={edges}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "91 edges" in err
-    assert "Traceback" not in err
+    assert err == "error: graph has 15 vertices, oracle bound is 14\n"
+
+
+def test_csf_of_a_dense_graph(capsys):
+    # dense graphs are computed: K_12 has 66 edges
+    edges = ",".join(f"{a}-{b}" for a, b in combinations(range(12), 2))
+    code, out, _ = run_cli(capsys, "csf", "--graph", f"g:n=12;edges={edges}")
+    assert code == 0
+    assert out.strip() == "479001600*e[12]"
 
 
 def test_series_extract(capsys):
@@ -441,6 +448,8 @@ def test_malformed_graph_spec_is_usage_error(capsys, spec):
                  "g:n=x": "x", "g:n=3;edges=0-1-2": "1-2", "g:n=3;edges=0-1,,1-2": ""}
     if spec in bad_token:
         assert err == f"error: bad graph spec {spec!r}: {bad_token[spec]!r} is not an integer\n"
+    if spec == "twin(path:3":
+        assert err == "error: bad twin spec 'twin(path:3': missing the closing ')'\n"
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import importlib
 import time
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,7 +117,7 @@ def test_csf_at_vertex_bound(monkeypatch):
     # re-exports the function csf under the module's name)
     monkeypatch.setattr(importlib.import_module("chromasym.csf"), "_csf_memo", {})
     # P_10 twinned at a leaf and three interior vertices has 14 vertices and
-    # 20 edges, the edge bound: the 2^|E| subset sum takes seconds on it
+    # 20 edges: the 2^|E| subset sum takes seconds on it
     dense = path(10)
     for v in (0, 3, 5, 7):
         dense = twin(dense, v)
@@ -141,16 +142,14 @@ def test_csf_at_vertex_bound(monkeypatch):
 
 
 def test_csf_size_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="15 vertices, oracle bound is 14"):
         csf(Graph(15))
-    with pytest.raises(ValueError):
-        csf(cycle(12), max_edges=5)
 
 
-def test_csf_respects_env_bound():
-    with pytest.raises(ValueError):
-        csf(path(5), max_vertices=4)
-    assert csf(path(5), max_vertices=6).homogeneous_degree() == 5
+def test_csf_of_complete_graphs():
+    # dense graphs are computed: K_12 has 66 edges
+    for n in range(8, 13):
+        assert csf(complete(n)) == e(n) * factorial(n), n
 
 
 def test_coloring_counts_against_full_scan():
@@ -211,13 +210,13 @@ def test_count_check_fixture_values():
 def test_count_check_bounds():
     with pytest.raises(ValueError):
         chromatic_count_check(path(3), 9)
-    with pytest.raises(ValueError):
-        chromatic_count_check(path(3), 3, max_vertices=2)
+    with pytest.raises(ValueError, match="n=9"):
+        chromatic_count_check(path(9), 3)
     with pytest.raises(ValueError, match="palette size"):
         chromatic_count_check(path(3), -1)
-    # rejected before the oracle runs: csf itself would refuse 15 vertices
+    # the palette is checked first, before the vertex bound and the oracle
     with pytest.raises(ValueError, match="palette size"):
-        chromatic_count_check(Graph(15), -1, max_vertices=20)
+        chromatic_count_check(Graph(15), -1)
 
 
 def test_triple_deletion_on_twin():

@@ -57,6 +57,15 @@ def test_invert_unit_definition():
     assert invert_unit(Series.one(6)) == Series.one(6)
 
 
+def test_invert_unit_with_a_linear_term():
+    # 1/(1 - e_1 z) = sum_d e_1^d z^d, and a unit with terms in every degree
+    geometric = invert_unit(Series.one(7) - Series.monomial(e(1), 1, 7))
+    assert geometric.coeffs == tuple(e_term((1,) * d) for d in range(8))
+    f = Series([SymE.one(), e(1) * 3, e(2) - e_term((1, 1)), e(3) * 5, e_term((2, 1), -2)])
+    assert invert_unit(f) * f == Series.one(4)
+    assert invert_unit(Series.one(0)) == Series.one(0)
+
+
 def test_invert_unit_rejects_non_unit():
     with pytest.raises(ValueError):
         invert_unit(ps.G(6))
