@@ -15,7 +15,7 @@ symmetric functions, and the triangle deletion identities.
 from __future__ import annotations
 
 from .graphs import Graph, add_edge, delete_edge, twin
-from .symfun import SymE, _memo, e, power_sum_lambda_to_e
+from .symfun import SymE, _memo, _part_key, _power_sum_of_key, e
 
 DEFAULT_MAX_VERTICES = 14
 COUNT_MAX_VERTICES, COUNT_MAX_K = 8, 5  # chromatic_count_check's bounds
@@ -80,14 +80,13 @@ def csf(g: Graph) -> SymE:
         layer = grown
 
     # Sum over the partitions of V into blocks with c != 0, the block holding
-    # the lowest vertex first.  A partition's block sizes are coded as the
-    # integer sum of shift**(size - 1) over its blocks, so adding a block
-    # adds its code; equal remaining sets share one sum.
-    shift = 1 << n.bit_length()
+    # the lowest vertex first.  A partition's code is symfun's packed key of
+    # its block sizes (n <= 14 keeps every multiplicity under 64), so adding
+    # a block adds the key of its size; equal remaining sets share one sum.
     by_low: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for t, count in c.items():
         if count:
-            by_low[(t & -t).bit_length() - 1].append((t, count, shift ** (t.bit_count() - 1)))
+            by_low[(t & -t).bit_length() - 1].append((t, count, _part_key(t.bit_count())))
     sums: dict[int, dict[int, int]] = {0: {0: 1}}
 
     def partition_sum(left: int) -> dict[int, int]:
@@ -104,9 +103,7 @@ def csf(g: Graph) -> SymE:
     total = SymE.zero()
     for code, count in partition_sum((1 << n) - 1).items():
         if count:
-            lam = [size for size in range(n, 0, -1)
-                   for _ in range(code // shift ** (size - 1) % shift)]
-            total = total + power_sum_lambda_to_e(lam) * count
+            total = total + _power_sum_of_key(code) * count
     _csf_memo.setdefault(key, total)
     return total
 
@@ -155,7 +152,8 @@ def chromatic_count_check(g: Graph, k: int) -> bool:
     if k < 0:
         raise ValueError("palette size must be >= 0")
     if g.n > COUNT_MAX_VERTICES or k > COUNT_MAX_K:
-        raise ValueError(f"count check bound exceeded (n={g.n}, k={k})")
+        raise ValueError(f"the count check takes at most {COUNT_MAX_VERTICES} vertices "
+                         f"and k <= {COUNT_MAX_K} (n={g.n}, k={k})")
     specialized = csf(g).eval_elementary([1] * k)
     return specialized == count_proper_colorings(g, k)
 

@@ -1,22 +1,79 @@
 """Exact arithmetic in the elementary symmetric function basis.
 
 A SymE value is a finite integer linear combination of monomials
-e_lam = e_{lam_1} e_{lam_2} ....  Keys are canonical partitions; the key ()
-carries the constant term (e_empty = 1).  Coefficients are Python ints, so
+e_lam = e_{lam_1} e_{lam_2} ....  Coefficients are Python ints, so
 everything is arbitrary precision.  Values are immutable once built.
+
+Internally each monomial is keyed by one packed integer: the part size p
+owns the 7-bit field at bit 7*(p-1), which holds its multiplicity in lam.
+The key 0 is the empty partition, which carries the constant term.  The key
+of a multiset union is the sum of the keys, so a product adds keys and never
+sorts.  A part may repeat at most 63 times; a value, product or e_term that
+would repeat one 64 or more times raises OverflowError.  Keys are decoded
+back to partitions at the edges (items, coefficient, rendering), so the
+public API and every rendering work on partitions as before.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache, lru_cache, reduce
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
-from .partitions import Partition, make_partition
+from .partitions import Partition, make_partition, multiplicities
+
+_FIELD = 7  # bits per part size; the top bit of a field stays clear
+_MAX_REPEAT = (1 << _FIELD - 1) - 1  # 63
+_REPEAT_ERROR = "a part repeats 64 or more times"
 
 
-def _term_order(lam: Partition) -> tuple:
-    # degree first, then reverse-lexicographic within a degree
-    return (sum(lam), tuple(-p for p in lam))
+def _part_key(p: int) -> int:
+    """Key of the one-part partition (p,); keys of multisets add."""
+    return 1 << _FIELD * (p - 1)
+
+
+def _pack(lam: Partition) -> int:
+    """Key of a canonical partition; OverflowError past 63 repeats."""
+    key = 0
+    for p, m in multiplicities(lam).items():
+        if m > _MAX_REPEAT:
+            raise OverflowError(_REPEAT_ERROR)
+        key |= m << _FIELD * (p - 1)
+    return key
+
+
+@lru_cache(maxsize=4096)  # renders decode the same few keys again and again
+def _unpack(key: int) -> Partition:
+    """The canonical partition (weakly decreasing tuple) of a key."""
+    parts: list[int] = []
+    mask = (1 << _FIELD) - 1
+    p = 1
+    while key:
+        m = key & mask
+        if m:
+            parts += [p] * m
+        key >>= _FIELD
+        p += 1
+    parts.reverse()
+    return tuple(parts)
+
+
+@cache
+def _guard(fields: int) -> int:
+    """The top bit of each of the lowest `fields` fields."""
+    return sum(1 << _FIELD * i + _FIELD - 1 for i in range(fields))
+
+
+def _check_repeats(keys) -> None:
+    """OverflowError if a key holds a field of 64 or more.
+
+    Every stored field is at most 63, so the sum of two never carries out of
+    its field, and its top bit is set exactly when it reached 64.
+    """
+    union = reduce(or_, keys, 0)
+    if union & _guard(-(-union.bit_length() // _FIELD)):
+        raise OverflowError(_REPEAT_ERROR)
 
 
 class SymE:
@@ -28,17 +85,17 @@ class SymE:
         if terms is None:
             self._terms = {}
             return
-        clean: dict[Partition, int] = {}
+        clean: dict[int, int] = {}
         for lam, c in terms.items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
             if c:
-                clean[make_partition(lam)] = c
+                clean[_pack(make_partition(lam))] = c
         self._terms = clean
 
     @classmethod
     def _raw(cls, clean_terms: dict) -> "SymE":
-        # internal: terms already canonical and zero-free
+        # internal: terms already keyed by packed partitions and zero-free
         out = object.__new__(cls)
         out._terms = clean_terms
         return out
@@ -49,17 +106,30 @@ class SymE:
 
     @classmethod
     def const(cls, c: int) -> "SymE":
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def one(cls) -> "SymE":
         return cls.const(1)
 
     def items(self) -> Iterator[tuple[Partition, int]]:
-        return iter(self._terms.items())
+        return ((_unpack(key), c) for key, c in self._terms.items())
 
     def coefficient(self, lam) -> int:
-        return self._terms.get(make_partition(lam), 0)
+        try:
+            key = _pack(make_partition(lam))
+        except OverflowError:  # no stored term repeats a part 64 times
+            return 0
+        return self._terms.get(key, 0)
+
+    def _sorted_items(self) -> list[tuple[Partition, int]]:
+        """(partition, coefficient) pairs by degree, then reverse-lexicographically.
+
+        Within one degree a larger key is a lexicographically larger
+        partition, since the fields of larger parts are the higher digits.
+        """
+        keys = sorted(self._terms, key=lambda key: (sum(_unpack(key)), -key))
+        return [(_unpack(key), self._terms[key]) for key in keys]
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -76,18 +146,18 @@ class SymE:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "SymE":
-        return SymE._raw({lam: -c for lam, c in self._terms.items()})
+        return SymE._raw({key: -c for key, c in self._terms.items()})
 
     def __add__(self, other) -> "SymE":
         if not isinstance(other, SymE):
             return NotImplemented
         out = dict(self._terms)
-        for lam, c in other._terms.items():
-            s = out.get(lam, 0) + c
+        for key, c in other._terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[lam] = s
+                out[key] = s
             else:
-                out.pop(lam, None)
+                out.pop(key, None)
         return SymE._raw(out)
 
     def __sub__(self, other) -> "SymE":
@@ -99,7 +169,7 @@ class SymE:
         if isinstance(other, int):
             if other == 0:
                 return SymE.zero()
-            return SymE._raw({lam: c * other for lam, c in self._terms.items()})
+            return SymE._raw({key: c * other for key, c in self._terms.items()})
         if not isinstance(other, SymE):
             return NotImplemented
         return _sum_of_products(((self, other),))
@@ -108,7 +178,7 @@ class SymE:
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common degree of all terms, or None if mixed; 0 for the zero value."""
-        degrees = {sum(lam) for lam in self._terms}
+        degrees = {sum(lam) for lam, _ in self.items()}
         if not degrees:
             return 0
         if len(degrees) > 1:
@@ -117,9 +187,9 @@ class SymE:
 
     def negative_term(self) -> Optional[tuple[Partition, int]]:
         """One (partition, coefficient) pair with negative coefficient, or None."""
-        for lam in sorted(self._terms, key=_term_order):
-            if self._terms[lam] < 0:
-                return (lam, self._terms[lam])
+        for lam, c in self._sorted_items():
+            if c < 0:
+                return (lam, c)
         return None
 
     def is_e_positive(self) -> bool:
@@ -127,10 +197,10 @@ class SymE:
 
     def eval_elementary(self, xs: Sequence[int]) -> int:
         """Value after substituting e_i -> i-th elementary symmetric polynomial of xs."""
-        top = max((lam[0] for lam in self._terms if lam), default=0)
+        top = -(-max(self._terms, default=0).bit_length() // _FIELD)  # largest part
         evals = elementary_values(xs, top)
         total = 0
-        for lam, c in self._terms.items():
+        for lam, c in self.items():
             prod = c
             for p in lam:
                 prod *= evals[p]
@@ -143,8 +213,7 @@ class SymE:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for lam in sorted(self._terms, key=_term_order):
-            c = self._terms[lam]
+        for lam, c in self._sorted_items():
             mag = abs(c)
             if lam:
                 body = "e[" + ",".join(map(str, lam)) + "]"
@@ -160,8 +229,8 @@ class SymE:
     def to_json_obj(self) -> list[dict]:
         """Canonically ordered [{"partition": [...], "coeff": "<int as str>"}]."""
         return [
-            {"partition": list(lam), "coeff": str(self._terms[lam])}
-            for lam in sorted(self._terms, key=_term_order)
+            {"partition": list(lam), "coeff": str(c)}
+            for lam, c in self._sorted_items()
         ]
 
     @classmethod
@@ -188,15 +257,18 @@ def _sum_of_products(pairs) -> SymE:
 
     All products accumulate in one dict and zero coefficients are dropped
     once at the end, since equality and hashing compare zero-free dicts.
+    The key of e_lam * e_mu is the sum of their keys; the keys are checked
+    for a part repeated 64 times once, after the loop.
     """
-    out: dict[Partition, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     for x, y in pairs:
         for lam, a in x._terms.items():
             for mu, b in y._terms.items():
-                key = tuple(sorted(lam + mu, reverse=True))
+                key = lam + mu
                 out[key] = get(key, 0) + a * b
-    return SymE._raw({lam: c for lam, c in out.items() if c})
+    _check_repeats(out)
+    return SymE._raw({key: c for key, c in out.items() if c})
 
 
 def e(i: int) -> SymE:
@@ -205,14 +277,14 @@ def e(i: int) -> SymE:
         raise ValueError("e_i needs i >= 0")
     if i == 0:
         return SymE.one()
-    return SymE._raw({(i,): 1})
+    return SymE._raw({_part_key(i): 1})
 
 
 def e_term(lam, coeff: int = 1) -> SymE:
     """coeff * e_lam as a SymE value."""
     if coeff == 0:
         return SymE.zero()
-    return SymE._raw({make_partition(lam): coeff})
+    return SymE._raw({_pack(make_partition(lam)): coeff})
 
 
 def elementary_values(xs: Sequence[int], upto: int) -> list[int]:
@@ -259,17 +331,21 @@ def power_sum_to_e(n: int) -> SymE:
     return _power_sum_memo[n]
 
 
-_power_sum_lam_memo: dict[Partition, SymE] = _memo()
+_power_sum_lam_memo: dict[int, SymE] = _memo()
 
 
 def power_sum_lambda_to_e(lam) -> SymE:
     """Product prod_i p_{lam_i} expanded in the e-basis."""
-    key = make_partition(lam)
+    return _power_sum_of_key(_pack(make_partition(lam)))
+
+
+def _power_sum_of_key(key: int) -> SymE:
+    """prod_i p_{lam_i} for the partition lam packed as key; memoized by key."""
     cached = _power_sum_lam_memo.get(key)
     if cached is not None:
         return cached
     acc = SymE.one()
-    for p in key:
+    for p in _unpack(key):
         acc = acc * power_sum_to_e(p)
     _power_sum_lam_memo.setdefault(key, acc)
     return acc

@@ -58,6 +58,15 @@ def test_csf_negative_palette_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_csf_count_check_past_its_bounds_names_them(capsys):
+    code, out, err = run_cli(capsys, "csf", "--graph", "path:9",
+                             "--check-colorings", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the count check takes at most 8 vertices and k <= 5"
+                   " (n=9, k=3)\n")
+
+
 def test_csf_bad_graph_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "csf", "--graph", "heptagon:9")
     assert code == 2

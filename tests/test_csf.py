@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chromasym import families as fam
 from chromasym import verify
-from chromasym.csf import (chromatic_count_check, count_proper_colorings, csf,
+from chromasym.csf import (COUNT_MAX_K, COUNT_MAX_VERTICES, chromatic_count_check,
+                           count_proper_colorings, csf,
                            leaf_twin_reduction_check, near_triangle_check,
                            triple_deletion_check)
 from chromasym.graphs import (Graph, cycle, disjoint_union, family, path, twin,
@@ -208,10 +209,13 @@ def test_count_check_fixture_values():
 
 
 def test_count_check_bounds():
-    with pytest.raises(ValueError):
-        chromatic_count_check(path(3), 9)
-    with pytest.raises(ValueError, match="n=9"):
+    assert (COUNT_MAX_VERTICES, COUNT_MAX_K) == (8, 5)
+    bounds = "at most 8 vertices and k <= 5"
+    with pytest.raises(ValueError, match=bounds + r" \(n=3, k=6\)"):
+        chromatic_count_check(path(3), 6)
+    with pytest.raises(ValueError, match=bounds + r" \(n=9, k=3\)"):
         chromatic_count_check(path(9), 3)
+    assert chromatic_count_check(path(8), 5)
     with pytest.raises(ValueError, match="palette size"):
         chromatic_count_check(path(3), -1)
     # the palette is checked first, before the vertex bound and the oracle

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromasym.partitions import partitions_of
-from chromasym.symfun import (SymE, e, e_term, elementary_values,
+from chromasym.symfun import (SymE, _sum_of_products, e, e_term, elementary_values,
                               power_sum_lambda_to_e, power_sum_to_e)
 
 
@@ -183,6 +183,72 @@ def test_json_round_trip():
 @given(syme_strategy())
 def test_json_round_trip_random(f):
     assert SymE.from_json(f.to_json()) == f
+
+
+def test_text_rendering_orders_repeated_parts():
+    val = (SymE.const(5) - e(1) * 3 + e_term((4, 1, 1)) - e_term((2, 2, 2))
+           + e_term((2, 2, 1, 1), 4) + e_term((3, 1, 1, 1)) - e_term((1,) * 6, 6)
+           + e_term((3, 3, 1, 1, 1), 2) + e_term((5, 3, 1)))
+    assert val.to_text() == ("5 - 3*e[1] + e[4,1,1] + e[3,1,1,1] - e[2,2,2] + 4*e[2,2,1,1]"
+                             " - 6*e[1,1,1,1,1,1] + e[5,3,1] + 2*e[3,3,1,1,1]")
+    assert val.negative_term() == ((1,), -3)
+    assert (val - e(1) * -3).negative_term() == ((2, 2, 2), -1)
+
+
+# --- products against a reference written over partition tuples
+
+wide_partition = st.lists(st.integers(min_value=1, max_value=40), max_size=9).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+wide_terms = st.dictionaries(wide_partition, st.integers(min_value=-9, max_value=9).filter(bool),
+                             max_size=6)
+
+
+def reference_mul(a, b):
+    out = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + x * y
+    return {lam: c for lam, c in out.items() if c}
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(wide_terms, wide_terms), max_size=4))
+def test_products_match_the_tuple_reference(term_pairs):
+    pairs = [(SymE(x), SymE(y)) for x, y in term_pairs]
+    want: dict = {}
+    for x, y in term_pairs:
+        assert dict((SymE(x) * SymE(y)).items()) == reference_mul(x, y)
+        for lam, c in reference_mul(x, y).items():
+            want[lam] = want.get(lam, 0) + c
+    assert dict(_sum_of_products(pairs).items()) == {lam: c for lam, c in want.items() if c}
+
+
+@given(wide_terms)
+def test_items_coefficients_and_json_round_trip(terms):
+    f = SymE(terms)
+    assert dict(f.items()) == terms
+    assert len(f) == len(terms)
+    for lam, c in terms.items():
+        assert f.coefficient(lam) == c
+        assert f.coefficient(lam[::-1]) == c
+    assert f.coefficient((41,)) == 0
+    assert SymE.from_json(f.to_json()) == f
+
+
+def test_a_part_repeats_at_most_63_times():
+    repeats = "a part repeats 64 or more times"
+    with pytest.raises(OverflowError, match=repeats):
+        e_term((1,) * 63) * e(1)
+    with pytest.raises(OverflowError, match=repeats):
+        SymE({(1,) * 64: 1})
+    with pytest.raises(OverflowError, match=repeats):
+        e_term((2,) * 128)  # would carry into the field of 3 unchecked
+    with pytest.raises(OverflowError, match=repeats):
+        _sum_of_products([(e(2), e(3)), (e_term((40,) * 32), e_term((40,) * 32))])
+    assert (e_term((1,) * 62) * e(1)) == e_term((1,) * 63)
+    assert e_term((1,) * 63).coefficient((1,) * 63) == 1
+    assert e_term((1,) * 63).coefficient((1,) * 64) == 0
 
 
 def test_constructor_rejects_bad_coeffs():
