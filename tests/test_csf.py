@@ -211,6 +211,8 @@ def test_count_check_fixture_values():
 def test_count_check_bounds():
     assert (COUNT_MAX_VERTICES, COUNT_MAX_K) == (8, 5)
     bounds = "at most 8 vertices and k <= 5"
+    with pytest.raises(ValueError, match=bounds + r" \(n=3, k=9\)"):
+        chromatic_count_check(path(3), 9)
     with pytest.raises(ValueError, match=bounds + r" \(n=3, k=6\)"):
         chromatic_count_check(path(3), 6)
     with pytest.raises(ValueError, match=bounds + r" \(n=9, k=3\)"):
