@@ -90,12 +90,10 @@ def leaf_twin_gf(trunc: int) -> Series:
 
 def leaf_twin_gf_half(trunc: int) -> Series:
     """Manifestly e-positive half gf:
-    K G_{>=3}/D + e_1 z G G_{>=3}/D + e_2 z^2 + sum_{i>=3} i e_i z^i + e_1 z G_{>=3}."""
-    inv_d = ps.invert_unit(ps.D(trunc))
+    (K + e_1 z G) G_{>=3}/D + e_2 z^2 + sum_{i>=3} i e_i z^i + e_1 z G_{>=3}."""
     g3 = ps.G_geq(3, trunc)
     e1z = Series.monomial(e(1), 1, trunc)
-    return (ps.K(trunc) * g3 * inv_d
-            + e1z * ps.G(trunc) * g3 * inv_d
+    return ((ps.K(trunc) + e1z * ps.G(trunc)) * g3 / ps.D(trunc)
             + Series.monomial(e(2), 2, trunc)
             + ps.e_weighted(trunc, 3, lambda i: i)
             + e1z * g3)
@@ -169,10 +167,9 @@ def alpha_poly(trunc: int) -> Series:
 
 def both_leaves_gf_quarter(trunc: int) -> Series:
     """Manifestly e-positive quarter gf for sum_{n>=3} X_{n,v,w} z^{n+2}."""
-    inv_d = ps.invert_unit(ps.D(trunc))
     g3 = ps.G_geq(3, trunc)
     e1z = Series.monomial(e(1), 1, trunc)
-    return ((ps.K(trunc) + e1z * ps.G(trunc)) * g3 * g3 * inv_d
+    return ((ps.K(trunc) + e1z * ps.G(trunc)) * g3 * g3 / ps.D(trunc)
             + e1z * g3 * g3
             + g3 * ps.e_weighted(trunc, 3, lambda i: i)
             + e1z * ps.e_weighted(trunc, 4, lambda i: i - 1)
@@ -439,24 +436,22 @@ def twin_cycle_gf(trunc: int) -> Series:
 
 def twin_cycle_gf_half_rewrite(trunc: int) -> Series:
     """Half gf rewritten over the common denominator:
-    [F2 + e_1 z F3 + e_2 z^2 (E - 1 - e_1 z)]/D - e_2 z^2/D + e_2 z^2 - 3 e_3 z^3."""
-    inv_d = ps.invert_unit(ps.D(trunc))
+    [F2 + e_1 z F3 + e_2 z^2 (E - 1 - e_1 z) - e_2 z^2]/D + e_2 z^2 - 3 e_3 z^3."""
     e1z = Series.monomial(e(1), 1, trunc)
     e2z2 = Series.monomial(e(2), 2, trunc)
     num = ps.F2(trunc) + e1z * ps.F3(trunc) + e2z2 * ps.E_geq(2, trunc)
-    return num * inv_d - e2z2 * inv_d + e2z2 - Series.monomial(e(3) * 3, 3, trunc)
+    return (num - e2z2) / ps.D(trunc) + e2z2 - Series.monomial(e(3) * 3, 3, trunc)
 
 
 def twin_cycle_gf_half(trunc: int) -> Series:
     """Manifestly e-positive half gf:
     sum_{i>=4} (2i^2-5i) e_i z^i
     + [e_1 z F3 + F2 G_{>=3} + e_2 z^2 sum_{i>=3} (2i^2-6i+2) e_i z^i]/D."""
-    inv_d = ps.invert_unit(ps.D(trunc))
     num = (Series.monomial(e(1), 1, trunc) * ps.F3(trunc)
            + ps.F2(trunc) * ps.G_geq(3, trunc)
            + Series.monomial(e(2), 2, trunc)
            * ps.e_weighted(trunc, 3, lambda i: 2 * i * i - 6 * i + 2))
-    return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num * inv_d
+    return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num / ps.D(trunc)
 
 
 _twin_cycle_rec_cache: dict[int, SymE] = _memo()

@@ -7,8 +7,9 @@ smaller one, so formula scripts compose freely.  All values are immutable.
 The named series here (elementary generating function E, its companion
 denominator D = E - zE', the gap G = 1 - D, the weighted sums K, F1, F2, F3
 and the tail/head truncations of E, K, G) are the building blocks of every
-generating function identity in this package.  Division only ever happens
-through invert_unit, because every denominator in sight has constant term 1.
+generating function identity in this package.  Every denominator in sight
+has constant term 1, so num / f solves f h = num degree by degree, and each
+quotient such as path_gf = E/D is one division, not a product with 1/D.
 """
 
 from __future__ import annotations
@@ -103,8 +104,28 @@ class Series:
         a, b = self._pair(other)
         left = [(i, c) for i, c in enumerate(a.coeffs) if c]
         right = b.coeffs
-        return Series([_sum_of_products((c, right[d - i]) for i, c in left if i <= d)
+        return Series([_sum_of_products((c, right[d - i]) for i, c in left
+                                        if i <= d and right[d - i])
                        for d in range(a.trunc + 1)], a.trunc)
+
+    def __truediv__(self, other) -> "Series":
+        """self / other for a divisor with constant term exactly 1.
+
+        Solves other * h = self degree by degree:
+        h_d = self_d + sum_{i=1}^{d} (-other_i) h_{d-i}.
+        """
+        if not isinstance(other, Series):
+            return NotImplemented
+        num, f = self._pair(other)
+        if f.coeffs[0] != SymE.one():
+            raise ValueError("a divisor needs constant term exactly 1")
+        one = SymE.one()
+        neg = [(i, -c) for i, c in enumerate(f.coeffs[1:], 1) if c]
+        h: list[SymE] = []
+        for d, c in enumerate(num.coeffs):
+            h.append(_sum_of_products([(c, one)] + [(n, h[d - i]) for i, n in neg
+                                                    if i <= d and h[d - i]]))
+        return Series(h, num.trunc)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, SymE)):
@@ -122,18 +143,8 @@ class Series:
 
 
 def invert_unit(f: Series) -> Series:
-    """Multiplicative inverse of a series with constant term exactly 1.
-
-    Solves h f = 1 degree by degree: h_0 = 1 and
-    h_d = sum_{i=1}^{d} (-f_i) h_{d-i}.
-    """
-    if f.extract(0) != SymE.one():
-        raise ValueError("invert_unit requires constant term exactly 1")
-    neg = [-c for c in f.coeffs]
-    h = [SymE.one()]
-    for d in range(1, f.trunc + 1):
-        h.append(_sum_of_products((neg[i], h[d - i]) for i in range(1, d + 1) if neg[i]))
-    return Series(h, f.trunc)
+    """Multiplicative inverse 1/f of a series with constant term exactly 1."""
+    return Series.one(f.trunc) / f
 
 
 def e_weighted(trunc: int, lo: int, weight: Callable[[int], int],
@@ -224,12 +235,12 @@ def z_E_prime(trunc: int) -> Series:
 
 def path_gf(trunc: int) -> Series:
     """E/D; the z^n coefficient is the chromatic symmetric function of the n-path."""
-    return E(trunc) * invert_unit(D(trunc))
+    return E(trunc) / D(trunc)
 
 
 def cycle_gf(trunc: int) -> Series:
     """z^2 E''/D; the z^n coefficient is the chromatic symmetric function of the n-cycle."""
-    return cycle_numerator(trunc) * invert_unit(D(trunc))
+    return cycle_numerator(trunc) / D(trunc)
 
 
 _PLAIN = {

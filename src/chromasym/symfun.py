@@ -90,8 +90,10 @@ class SymE:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
             if c:
-                clean[_pack(make_partition(lam))] = c
-        self._terms = clean
+                key = _pack(make_partition(lam))
+                clean[key] = clean.get(key, 0) + c
+        # two spellings of one partition add up, and may cancel
+        self._terms = {key: c for key, c in clean.items() if c}
 
     @classmethod
     def _raw(cls, clean_terms: dict) -> "SymE":

@@ -204,3 +204,81 @@ def test_series_mul_matches_cauchy_sum(a, b, cancel):
 @pytest.mark.parametrize("n", range(15))
 def test_invert_unit_of_denominator(n):
     assert invert_unit(ps.D(n)) * ps.D(n) == Series.one(n)
+
+
+@st.composite
+def _mostly_empty_series(draw):
+    """Nonzero coefficients at a few degrees only, and sometimes at none."""
+    trunc = draw(st.integers(min_value=0, max_value=9))
+    slots = draw(st.dictionaries(st.integers(min_value=0, max_value=trunc), _sparse_syme,
+                                 max_size=3))
+    return Series([slots.get(d, SymE.zero()) for d in range(trunc + 1)], trunc)
+
+
+def _double_loop_product(a, b):
+    """a * b by summing every coefficient pair, without Series.__mul__ or SymE.__mul__."""
+    n = min(a.trunc, b.trunc)
+    out = [SymE.zero()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + _pair_product(a.coeffs[i], b.coeffs[j])
+    return Series(out, n)
+
+
+@settings(derandomize=True)
+@given(_mostly_empty_series(), _mostly_empty_series())
+def test_series_mul_with_empty_coefficients_matches_double_loop(a, b):
+    assert a * b == _double_loop_product(a, b)
+    assert b * a == _double_loop_product(b, a)
+    for zero in (Series([], a.trunc), Series([], a.trunc + 3), Series([], 0)):
+        assert a * zero == zero * a == Series([], min(a.trunc, zero.trunc))
+
+
+def test_series_mul_with_empty_coefficients_examples():
+    gap = Series.monomial(e(2), 2, 9) + Series.monomial(e(5), 5, 9)
+    lone = Series.monomial(e_term((2, 1), 3), 3, 6)
+    assert gap * lone == lone * gap == _double_loop_product(gap, lone)
+    assert (gap * lone).trunc == 6
+    assert (gap * lone).coeffs[5] == e_term((2, 2, 1), 3)
+    assert gap * Series([], 4) == Series([], 4)
+
+
+@st.composite
+def _unit_series(draw):
+    """Constant term exactly 1 and sparse, mixed-degree terms above it."""
+    trunc = draw(st.integers(min_value=0, max_value=8))
+    rest = draw(st.lists(_sparse_syme, min_size=trunc, max_size=trunc))
+    return Series([SymE.one()] + rest, trunc)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(_unit_series(), _sparse_series())
+def test_division_solves_the_product(f, num):
+    q = num / f
+    assert q.trunc == min(num.trunc, f.trunc)
+    assert q * f == num.truncate(q.trunc)
+    assert Series.one(f.trunc) / f == invert_unit(f)
+
+
+_NUMERATORS = ([(name, None) for name in ("E", "D", "G", "K", "F1", "F2", "F3",
+                                           "path-gf", "cycle-gf")]
+               + [(name, k) for name in ("E_geq", "K_geq", "G_geq", "G_leq") for k in (2, 3, 5)])
+
+
+@pytest.mark.parametrize("name, k", _NUMERATORS)
+def test_division_by_denominator_matches_inverse_product(name, k):
+    N = 14
+    num = named_series(name, N, k)
+    assert num.trunc == N
+    d = ps.D(N)
+    assert num / d == num * invert_unit(d)
+
+
+def test_division_rejects_non_unit_divisor():
+    for divisor in (ps.G(6), ps.E(6) * 2, Series([], 6), -Series.one(6)):
+        with pytest.raises(ValueError):
+            Series.one(6) / divisor
+        with pytest.raises(ValueError):
+            ps.E(6) / divisor
+    with pytest.raises(TypeError):
+        Series.one(6) / 2

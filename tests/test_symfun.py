@@ -185,6 +185,19 @@ def test_json_round_trip_random(f):
     assert SymE.from_json(f.to_json()) == f
 
 
+def test_two_spellings_of_one_partition_add_up():
+    cases = [({(2, 1): 1, (1, 2): 5}, e_term((2, 1), 6), "6*e[2,1]"),
+             ({(2, 1): 1, (1, 2): 0}, e_term((2, 1)), "e[2,1]"),
+             ({(2, 1): 1, (1, 2): -1}, SymE.zero(), "0"),
+             ({(): 2, (3, 1, 2): 4, (2, 3, 1): -4}, SymE.const(2), "2")]
+    for terms, want, text in cases:
+        assert SymE(terms) == want
+        assert SymE(terms).to_text() == text
+        assert len(SymE(terms)) == len(want)
+        entries = [{"partition": list(lam), "coeff": str(c)} for lam, c in terms.items()]
+        assert SymE.from_json_obj(entries) == SymE(terms)
+
+
 def test_text_rendering_orders_repeated_parts():
     val = (SymE.const(5) - e(1) * 3 + e_term((4, 1, 1)) - e_term((2, 2, 2))
            + e_term((2, 2, 1, 1), 4) + e_term((3, 1, 1, 1)) - e_term((1,) * 6, 6)
