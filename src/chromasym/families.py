@@ -304,8 +304,9 @@ def g_poly(ell: int, trunc: int) -> Series:
 
 
 def interior_gf(ell: int, trunc: int) -> Series:
-    """sum_{n>=ell+1} X_{n,ell} z^{n+1} = 2 path_gf f_ell + 2 g_ell."""
-    return (ps.path_gf(trunc) * f_poly(ell, trunc) + g_poly(ell, trunc)) * 2
+    """sum_{n>=ell+1} X_{n,ell} z^{n+1} = 2 path_gf f_ell + 2 g_ell,
+    evaluated as 2 ((E f_ell)/D + g_ell)."""
+    return (ps.E(trunc) * f_poly(ell, trunc) / ps.D(trunc) + g_poly(ell, trunc)) * 2
 
 
 def interior_epos_f_product(ell: int, trunc: int) -> Series:
@@ -322,15 +323,21 @@ def interior_epos_f_product(ell: int, trunc: int) -> Series:
 
 
 def interior_gf_epos_half(ell: int, trunc: int) -> Series:
-    """Term-by-term e-positive half gf for the interior twin.
+    """Term-by-term e-positive half gf for the interior twin:
+    sum_{i=3}^{ell} (i-1) e_i z^i sum_{j=ell-i+2}^{ell-2} X_{P_j} z^j
+    + ell e_{ell+1} z^{ell+1} sum_{j=1}^{ell-2} X_{P_j} z^j
+    + E_{>=ell+2} (1 + sum_{j=0}^{ell-2} X_{P_j} z^j)
+    + (path_gf - sum_{j=0}^{ell-2} X_{P_j} z^j) w
+    + path_gf (2 G_{>=ell+2} + sum_{i=1}^{ell-2} X_{P_i} z^i G_{>=ell+2-i}),
+    with w = sum_{i=2}^{ell+1} (i-2) e_i z^i.
 
     Empty summation ranges contribute nothing (ell = 2 and 3 drop several
-    terms); the tail sum over path values of index >= ell-1 is realized as
-    path_gf minus its head.
+    terms).  Since path_gf X = (E X)/D, the two path_gf terms are evaluated
+    as one quotient (E (w + cofactor))/D minus the polynomial head times w,
+    so only sparse factors are multiplied and D divides once.
     """
     if ell < 2:
         raise ValueError("interior twin needs ell >= 2")
-    xp = ps.path_gf(trunc)
     path_head = _path_terms(range(0, ell - 1), trunc)
     acc = Series.monomial(e(ell + 1) * ell, ell + 1, trunc) * _path_terms(range(1, ell - 1), trunc)
     for i in range(3, ell + 1):
@@ -339,13 +346,12 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
 
     acc = acc + ps.E_geq(ell + 2, trunc)
     acc = acc + ps.E_geq(ell + 2, trunc) * path_head
-    acc = acc + (xp - path_head) * ps.e_weighted(trunc, 2, lambda i: i - 2, hi=ell + 1)
-    # path_gf times 2 G_{>=ell+2} + sum_{i=1}^{ell-2} G_{>=ell+2-i} X_{P_i} z^i:
-    # the e-positive cofactors are summed first, so path_gf is multiplied once
+    w = ps.e_weighted(trunc, 2, lambda i: i - 2, hi=ell + 1)
+    # the e-positive cofactor of path_gf: 2 G_{>=ell+2} + sum_i G_{>=ell+2-i} X_{P_i} z^i
     cofactor = ps.G_geq(ell + 2, trunc) * 2
     for i in range(1, ell - 1):
         cofactor = cofactor + Series.monomial(path_seq(i), i, trunc) * ps.G_geq(ell + 2 - i, trunc)
-    return acc + xp * cofactor
+    return acc + ps.E(trunc) * (w + cofactor) / ps.D(trunc) - path_head * w
 
 
 def _interior_identity(n: int, ell: int) -> SymE:

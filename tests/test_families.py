@@ -211,6 +211,82 @@ def test_interior_epos_half_gf_is_the_half_gf(ell):
         assert coeff.is_e_positive(), (degree, coeff.negative_term())
 
 
+def _literal_epos_half(ell, trunc):
+    # the e-positive half gf term by term as printed, with path_gf multiplied
+    # out: the form that one quotient by D must reproduce
+    xp = ps.path_gf(trunc)
+    path_head = fam._path_terms(range(0, ell - 1), trunc)
+    acc = ps.Series.monomial(e(ell + 1) * ell, ell + 1, trunc) \
+        * fam._path_terms(range(1, ell - 1), trunc)
+    for i in range(3, ell + 1):
+        stair = fam._path_terms(range(ell - i + 2, ell - 1), trunc)
+        acc = acc + ps.Series.monomial(e(i) * (i - 1), i, trunc) * stair
+    acc = acc + ps.E_geq(ell + 2, trunc)
+    acc = acc + ps.E_geq(ell + 2, trunc) * path_head
+    w = ps.e_weighted(trunc, 2, lambda i: i - 2, hi=ell + 1)
+    cofactor = ps.G_geq(ell + 2, trunc) * 2
+    for i in range(1, ell - 1):
+        cofactor = cofactor + ps.Series.monomial(fam.path_seq(i), i, trunc) \
+            * ps.G_geq(ell + 2 - i, trunc)
+    return acc + (xp - path_head) * w + xp * cofactor
+
+
+@pytest.mark.parametrize("ell", range(2, 13))
+def test_interior_forms_match_the_literal_epos_half(ell):
+    for trunc in range(ell + 2, 21):
+        half = fam.interior_gf_epos_half(ell, trunc)
+        assert half == _literal_epos_half(ell, trunc), trunc
+        assert fam.interior_gf(ell, trunc) == half * 2, trunc
+        for degree, coeff in enumerate(half.coeffs):
+            assert coeff.is_e_positive(), (trunc, degree, coeff.negative_term())
+
+
+def _gf_forms():
+    for name, spec in fam.FAMILIES.items():
+        for form in spec.gfs:
+            for ell in (range(2, 7) if spec.ells else (None,)):
+                yield name, form, ell
+
+
+@pytest.mark.parametrize("name,form,ell", list(_gf_forms()))
+def test_gf_forms_commute_with_truncation(name, form, ell):
+    # family_value extracts the z^m coefficient of a form built at depth m,
+    # which is right only if a deeper build truncates to the shallower one
+    build = fam.FAMILIES[name].gfs[form][1]
+    series = [build(trunc, ell) for trunc in range(17)]
+    for deep in range(1, 17):
+        for shallow in range(deep):
+            assert series[deep].truncate(shallow) == series[shallow], (deep, shallow)
+
+
+def test_interior_forms_divide_by_d_once(monkeypatch):
+    # work bound: one quotient by D costs about one path_gf, while the
+    # product of path_gf with the cofactors took 2.2-3.6 times that at depth 24
+    import chromasym.symfun as symfun
+
+    pairs = [0]
+    plain = symfun._sum_of_products
+
+    def counting(products):
+        products = list(products)
+        pairs[0] += sum(len(x._terms) * len(y._terms) for x, y in products)
+        return plain(products)
+
+    for module in (symfun, ps, fam):
+        monkeypatch.setattr(module, "_sum_of_products", counting)
+
+    def work(build):
+        fam.path_seq(26)  # the path memo is filled outside the count
+        pairs[0] = 0
+        build()
+        return pairs[0]
+
+    path_work = work(lambda: ps.path_gf(24))
+    for ell in range(3, 9):
+        assert work(lambda: fam.interior_gf_epos_half(ell, 24)) <= 2 * path_work, ell
+        assert work(lambda: fam.interior_gf(ell, 24)) <= 2 * path_work, ell
+
+
 def test_g_poly_cancellation():
     # everything in g cancels against the product: low-degree coefficients of
     # 2 path_gf f_ell are exactly -2 times those of g_ell
