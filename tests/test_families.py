@@ -5,6 +5,7 @@ import pytest
 import chromasym
 from chromasym import families as fam
 from chromasym import powerseries as ps
+from chromasym import symfun
 from chromasym import verify
 from chromasym.csf import csf
 from chromasym.graphs import cycle, family, path, twin
@@ -260,10 +261,8 @@ def test_gf_forms_commute_with_truncation(name, form, ell):
 
 
 def test_interior_forms_divide_by_d_once(monkeypatch):
-    # work bound: one quotient by D costs about one path_gf, while the
-    # product of path_gf with the cofactors took 2.2-3.6 times that at depth 24
-    import chromasym.symfun as symfun
-
+    # work bound: one quotient by D costs about one path_gf, while multiplying
+    # path_gf by the cofactors costs 2.2-3.6 times that at depth 24
     pairs = [0]
     plain = symfun._sum_of_products
 
