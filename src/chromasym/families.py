@@ -334,7 +334,9 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     Empty summation ranges contribute nothing (ell = 2 and 3 drop several
     terms).  Since path_gf X = (E X)/D, the two path_gf terms are evaluated
     as one quotient (E (w + cofactor))/D minus the polynomial head times w,
-    so only sparse factors are multiplied and D divides once.
+    so only sparse factors are multiplied and D divides once.  Near ell =
+    trunc the head holds most path terms below trunc and head w is dense,
+    so there path_gf is multiplied out as written.
     """
     if ell < 2:
         raise ValueError("interior twin needs ell >= 2")
@@ -351,6 +353,11 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     cofactor = ps.G_geq(ell + 2, trunc) * 2
     for i in range(1, ell - 1):
         cofactor = cofactor + Series.monomial(path_seq(i), i, trunc) * ps.G_geq(ell + 2 - i, trunc)
+    # (trunc - ell)^2 <= 2 trunc is where the two evaluations' term-product
+    # counts cross, for every trunc up to 37
+    if (trunc - ell) ** 2 <= 2 * trunc:
+        xp = ps.path_gf(trunc)
+        return acc + (xp - path_head) * w + xp * cofactor
     return acc + ps.E(trunc) * (w + cofactor) / ps.D(trunc) - path_head * w
 
 
