@@ -353,8 +353,8 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     cofactor = ps.G_geq(ell + 2, trunc) * 2
     for i in range(1, ell - 1):
         cofactor = cofactor + Series.monomial(path_seq(i), i, trunc) * ps.G_geq(ell + 2 - i, trunc)
-    # (trunc - ell)^2 <= 2 trunc is where the two evaluations' term-product
-    # counts cross, for every trunc up to 37
+    # (trunc - ell)^2 <= 2 trunc follows where the two evaluations' counts of
+    # term products cross, as counted for every trunc up to 37
     if (trunc - ell) ** 2 <= 2 * trunc:
         xp = ps.path_gf(trunc)
         return acc + (xp - path_head) * w + xp * cofactor
