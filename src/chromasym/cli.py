@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", formatter_class=_HelpFormatter,
                               help="print a named series or one coefficient")
-    p_series.add_argument("--name", required=True,
-                          help="E, D, G, K, F1, F2, F3, E_geq, K_geq, G_geq, G_leq, path-gf, cycle-gf")
+    p_series.add_argument("--name", required=True, help=", ".join(powerseries.SERIES_NAMES))
     p_series.add_argument("--N", type=int, default=12, help="truncation degree (default 12)")
     p_series.add_argument("--k", type=int, help="cutoff for the k-indexed families")
     p_series.add_argument("--extract", type=int, metavar="n", help="print only the z^n coefficient")

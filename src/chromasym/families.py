@@ -91,17 +91,18 @@ def leaf_twin_gf(trunc: int) -> Series:
 def leaf_twin_gf_half(trunc: int) -> Series:
     """Manifestly e-positive half gf:
     (K + e_1 z G) G_{>=3}/D + e_2 z^2 + sum_{i>=3} i e_i z^i + e_1 z G_{>=3}."""
-    g3 = ps.G_geq(3, trunc)
+    g3 = ps.weighted("G", trunc, lo=3)
     e1z = Series.monomial(e(1), 1, trunc)
-    return ((ps.K(trunc) + e1z * ps.G(trunc)) * g3 / ps.D(trunc)
+    return ((ps.weighted("K", trunc) + e1z * ps.weighted("G", trunc)) * g3
+            / ps.weighted("D", trunc)
             + Series.monomial(e(2), 2, trunc)
-            + ps.e_weighted(trunc, 3, lambda i: i)
+            + ps.weighted("K", trunc, lo=3)
             + e1z * g3)
 
 
 def leaf_twin_gf_half_alt(trunc: int) -> Series:
     """Denominator-free half gf: path_gf * G_{>=3} + sum_{i>=2} e_i z^i."""
-    return ps.path_gf(trunc) * ps.G_geq(3, trunc) + ps.E_geq(2, trunc)
+    return ps.path_gf(trunc) * ps.weighted("G", trunc, lo=3) + ps.weighted("E", trunc, lo=2)
 
 
 _leaf_rec_cache: dict[int, SymE] = _memo()
@@ -167,25 +168,26 @@ def alpha_poly(trunc: int) -> Series:
 
 def both_leaves_gf_quarter(trunc: int) -> Series:
     """Manifestly e-positive quarter gf for sum_{n>=3} X_{n,v,w} z^{n+2}."""
-    g3 = ps.G_geq(3, trunc)
+    g3 = ps.weighted("G", trunc, lo=3)
     e1z = Series.monomial(e(1), 1, trunc)
-    return ((ps.K(trunc) + e1z * ps.G(trunc)) * g3 * g3 / ps.D(trunc)
+    return ((ps.weighted("K", trunc) + e1z * ps.weighted("G", trunc)) * g3 * g3
+            / ps.weighted("D", trunc)
             + e1z * g3 * g3
-            + g3 * ps.e_weighted(trunc, 3, lambda i: i)
-            + e1z * ps.e_weighted(trunc, 4, lambda i: i - 1)
-            + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, lambda i: i - 2)
-            + ps.e_weighted(trunc, 5, lambda i: i))
+            + g3 * ps.weighted("K", trunc, lo=3)
+            + e1z * ps.weighted("G", trunc, lo=4)
+            + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, (-2, 1))
+            + ps.weighted("K", trunc, lo=5))
 
 
 def both_leaves_gf_quarter_alt(trunc: int) -> Series:
     """Denominator-free quarter gf:
     path_gf G_{>=3}^2 + K_{>=5} + G_{>=3} E_{>=3} + e_1 z G_{>=4} + e_2 z^2 sum (i-2) e_i z^i."""
-    g3 = ps.G_geq(3, trunc)
+    g3 = ps.weighted("G", trunc, lo=3)
     return (ps.path_gf(trunc) * g3 * g3
-            + ps.K_geq(5, trunc)
-            + g3 * ps.E_geq(3, trunc)
-            + Series.monomial(e(1), 1, trunc) * ps.G_geq(4, trunc)
-            + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, lambda i: i - 2))
+            + ps.weighted("K", trunc, lo=5)
+            + g3 * ps.weighted("E", trunc, lo=3)
+            + Series.monomial(e(1), 1, trunc) * ps.weighted("G", trunc, lo=4)
+            + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, (-2, 1)))
 
 
 _both_rec_cache: dict[int, SymE] = _memo()
@@ -283,11 +285,12 @@ def f_poly_alt(ell: int, trunc: int) -> Series:
     + sum_{i=1}^{ell-2} (D + G_{>=ell+2-i}) X_{P_i} z^i."""
     if ell < 2:
         raise ValueError("f polynomial needs ell >= 2")
-    d = ps.D(trunc)
-    acc = ps.e_weighted(trunc, 3, lambda i: i - 2, hi=ell + 1)
-    acc = acc + (d + ps.G_geq(ell + 2, trunc)) * 2
+    d = ps.weighted("D", trunc)
+    acc = ps.e_weighted(trunc, 3, (-2, 1), hi=ell + 1)
+    acc = acc + (d + ps.weighted("G", trunc, lo=ell + 2)) * 2
     for i in range(1, ell - 1):
-        acc = acc + (d + ps.G_geq(ell + 2 - i, trunc)) * Series.monomial(path_seq(i), i, trunc)
+        acc = acc + ((d + ps.weighted("G", trunc, lo=ell + 2 - i))
+                     * Series.monomial(path_seq(i), i, trunc))
     return acc
 
 
@@ -306,7 +309,8 @@ def g_poly(ell: int, trunc: int) -> Series:
 def interior_gf(ell: int, trunc: int) -> Series:
     """sum_{n>=ell+1} X_{n,ell} z^{n+1} = 2 path_gf f_ell + 2 g_ell,
     evaluated as 2 ((E f_ell)/D + g_ell)."""
-    return (ps.E(trunc) * f_poly(ell, trunc) / ps.D(trunc) + g_poly(ell, trunc)) * 2
+    return (ps.weighted("E", trunc) * f_poly(ell, trunc) / ps.weighted("D", trunc)
+            + g_poly(ell, trunc)) * 2
 
 
 def interior_epos_f_product(ell: int, trunc: int) -> Series:
@@ -314,10 +318,10 @@ def interior_epos_f_product(ell: int, trunc: int) -> Series:
     path_gf sum_{i=3}^{ell+1} (i-2) e_i z^i + 2(E + path_gf G_{>=ell+2})
     + sum_{i=1}^{ell-2} (E + path_gf G_{>=ell+2-i}) X_{P_i} z^i."""
     xp = ps.path_gf(trunc)
-    acc = xp * ps.e_weighted(trunc, 3, lambda i: i - 2, hi=ell + 1)
-    acc = acc + (ps.E(trunc) + xp * ps.G_geq(ell + 2, trunc)) * 2
+    acc = xp * ps.e_weighted(trunc, 3, (-2, 1), hi=ell + 1)
+    acc = acc + (ps.weighted("E", trunc) + xp * ps.weighted("G", trunc, lo=ell + 2)) * 2
     for i in range(1, ell - 1):
-        acc = acc + ((ps.E(trunc) + xp * ps.G_geq(ell + 2 - i, trunc))
+        acc = acc + ((ps.weighted("E", trunc) + xp * ps.weighted("G", trunc, lo=ell + 2 - i))
                      * Series.monomial(path_seq(i), i, trunc))
     return acc
 
@@ -346,19 +350,20 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
         stair = _path_terms(range(ell - i + 2, ell - 1), trunc)
         acc = acc + Series.monomial(e(i) * (i - 1), i, trunc) * stair
 
-    acc = acc + ps.E_geq(ell + 2, trunc)
-    acc = acc + ps.E_geq(ell + 2, trunc) * path_head
-    w = ps.e_weighted(trunc, 2, lambda i: i - 2, hi=ell + 1)
+    acc = acc + ps.weighted("E", trunc, lo=ell + 2)
+    acc = acc + ps.weighted("E", trunc, lo=ell + 2) * path_head
+    w = ps.e_weighted(trunc, 2, (-2, 1), hi=ell + 1)
     # the e-positive cofactor of path_gf: 2 G_{>=ell+2} + sum_i G_{>=ell+2-i} X_{P_i} z^i
-    cofactor = ps.G_geq(ell + 2, trunc) * 2
+    cofactor = ps.weighted("G", trunc, lo=ell + 2) * 2
     for i in range(1, ell - 1):
-        cofactor = cofactor + Series.monomial(path_seq(i), i, trunc) * ps.G_geq(ell + 2 - i, trunc)
+        cofactor = cofactor + (Series.monomial(path_seq(i), i, trunc)
+                               * ps.weighted("G", trunc, lo=ell + 2 - i))
     # (trunc - ell)^2 <= 2 trunc follows where the two evaluations' counts of
     # term products cross, as counted for every trunc up to 37
     if (trunc - ell) ** 2 <= 2 * trunc:
         xp = ps.path_gf(trunc)
         return acc + (xp - path_head) * w + xp * cofactor
-    return acc + ps.E(trunc) * (w + cofactor) / ps.D(trunc) - path_head * w
+    return acc + ps.weighted("E", trunc) * (w + cofactor) / ps.weighted("D", trunc) - path_head * w
 
 
 def _interior_identity(n: int, ell: int) -> SymE:
@@ -452,19 +457,20 @@ def twin_cycle_gf_half_rewrite(trunc: int) -> Series:
     [F2 + e_1 z F3 + e_2 z^2 (E - 1 - e_1 z) - e_2 z^2]/D + e_2 z^2 - 3 e_3 z^3."""
     e1z = Series.monomial(e(1), 1, trunc)
     e2z2 = Series.monomial(e(2), 2, trunc)
-    num = ps.F2(trunc) + e1z * ps.F3(trunc) + e2z2 * ps.E_geq(2, trunc)
-    return (num - e2z2) / ps.D(trunc) + e2z2 - Series.monomial(e(3) * 3, 3, trunc)
+    num = (ps.weighted("F2", trunc) + e1z * ps.weighted("F3", trunc)
+           + e2z2 * ps.weighted("E", trunc, lo=2))
+    return (num - e2z2) / ps.weighted("D", trunc) + e2z2 - Series.monomial(e(3) * 3, 3, trunc)
 
 
 def twin_cycle_gf_half(trunc: int) -> Series:
     """Manifestly e-positive half gf:
     sum_{i>=4} (2i^2-5i) e_i z^i
     + [e_1 z F3 + F2 G_{>=3} + e_2 z^2 sum_{i>=3} (2i^2-6i+2) e_i z^i]/D."""
-    num = (Series.monomial(e(1), 1, trunc) * ps.F3(trunc)
-           + ps.F2(trunc) * ps.G_geq(3, trunc)
+    num = (Series.monomial(e(1), 1, trunc) * ps.weighted("F3", trunc)
+           + ps.weighted("F2", trunc) * ps.weighted("G", trunc, lo=3)
            + Series.monomial(e(2), 2, trunc)
-           * ps.e_weighted(trunc, 3, lambda i: 2 * i * i - 6 * i + 2))
-    return ps.e_weighted(trunc, 4, lambda i: 2 * i * i - 5 * i) + num / ps.D(trunc)
+           * ps.e_weighted(trunc, 3, (2, -6, 2)))
+    return ps.weighted("F2", trunc, lo=4) + num / ps.weighted("D", trunc)
 
 
 _twin_cycle_rec_cache: dict[int, SymE] = _memo()

@@ -10,7 +10,7 @@ spine are 1-based to match the usual combinatorial indexing of path vertices.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -144,22 +144,8 @@ def _int(token: str, spec: str) -> int:
         raise ValueError(f"bad graph spec {spec!r}: {token!r} is not an integer") from None
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the CLI graph vocabulary.
-
-    Forms: "path:7", "cycle:6", "flagpole:9,4", "twin(cycle:6,0)",
-    "g:n=5;edges=0-1,1-2".  Family names accept - or _ separators.
-    """
-    text = text.strip()
-    if text.startswith("twin("):
-        if not text.endswith(")"):
-            raise ValueError(f"bad twin spec {text!r}: missing the closing ')'")
-        # the vertex has no comma, so it follows the last one
-        base, comma, vertex = text[len("twin("):-1].rpartition(",")
-        if not comma:
-            raise ValueError(f"bad twin spec {text!r}")
-        v = _int(vertex, text)
-        return twin(parse_graph(base), v)
+def _base_spec(text: str) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count of a spec that is not a twin, and a builder of its graph."""
     if text.startswith("g:"):
         n = None
         edges: list[tuple[int, int]] = []
@@ -177,13 +163,45 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"bad graph field {field!r}")
         if n is None:
             raise ValueError("explicit graph needs n=")
-        return Graph(n, edges)
+        return n, lambda: Graph(n, edges)
     if ":" not in text:
         raise ValueError(f"bad graph spec {text!r}")
     name, _, args = text.partition(":")
     params = [_int(tok, text) for tok in args.split(",")] if args else []
-    if len(params) == 1:
-        return family(name, params[0])
-    if len(params) == 2:
-        return family(name, params[0], params[1])
-    raise ValueError(f"bad graph parameters in {text!r}")
+    if len(params) not in (1, 2):
+        raise ValueError(f"bad graph parameters in {text!r}")
+    # deferred: the family table lives in families, which imports this module
+    from .families import family_spec
+    return params[0] + family_spec(name).extra, lambda: family(name, *params)
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the CLI graph vocabulary.
+
+    Forms: "path:7", "cycle:6", "flagpole:9,4", "twin(cycle:6,0)",
+    "g:n=5;edges=0-1,1-2".  Family names accept - or _ separators.  A spec
+    whose graph has more vertices than the oracle's bound is refused before
+    its graph is built; a twin( nest is parsed by a loop, so its depth is
+    bounded by that count, not by the recursion limit.
+    """
+    # deferred: csf imports this module
+    from .csf import DEFAULT_MAX_VERTICES
+    text = text.strip()
+    vertices = []  # the twinned vertices, outermost first
+    while text.startswith("twin("):
+        if not text.endswith(")"):
+            raise ValueError(f"bad twin spec {text!r}: missing the closing ')'")
+        # the vertex has no comma, so it follows the last one
+        base, comma, vertex = text[len("twin("):-1].rpartition(",")
+        if not comma:
+            raise ValueError(f"bad twin spec {text!r}")
+        vertices.append(_int(vertex, text))
+        text = base.strip()
+    n, build = _base_spec(text)
+    n += len(vertices)
+    if n > DEFAULT_MAX_VERTICES:
+        raise ValueError(f"graph has {n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
+    g = build()
+    for v in reversed(vertices):
+        g = twin(g, v)
+    return g

@@ -4,10 +4,12 @@ A Series holds exactly trunc+1 coefficient slots; index d is the z^d
 coefficient.  Arithmetic on mismatched truncations silently truncates to the
 smaller one, so formula scripts compose freely.  All values are immutable.
 
-The named series here (elementary generating function E, its companion
-denominator D = E - zE', the gap G = 1 - D, the weighted sums K, F1, F2, F3
-and the tail/head truncations of E, K, G) are the building blocks of every
-generating function identity in this package.  Every denominator in sight
+The named series are the rows of WEIGHTED: sums sum_{i>=lo} w(i) e_i z^i
+whose weight w is an integer polynomial in i.  The elementary generating
+function E, its companion denominator D = E - zE', the gap G = 1 - D and
+the weighted sums K, F1, F2, F3 are read, and truncated at either end, by
+weighted(); they are the building blocks of every generating function
+identity in this package.  Every denominator in sight
 has constant term 1, so num / f solves f h = num degree by degree, and each
 quotient such as path_gf = E/D is one division, not a product with 1/D.
 A generating-function form multiplies its sparse factors first and divides
@@ -17,7 +19,7 @@ half near ell = trunc, multiply path_gf.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .symfun import SymE, _sum_of_products, e
 
@@ -150,118 +152,75 @@ def invert_unit(f: Series) -> Series:
     return Series.one(f.trunc) / f
 
 
-def e_weighted(trunc: int, lo: int, weight: Callable[[int], int],
+# Every named series is a row (lo, weight): sum_{i>=lo} weight(i) e_i z^i,
+# the weight an integer polynomial in i given by its coefficients, lowest
+# power first.  D = E - zE' = 1 - G is the shared gf denominator, G the
+# geometric kernel of 1/D.
+WEIGHTED = {
+    "E": (0, (1,)),
+    "D": (0, (1, -1)),
+    "G": (2, (-1, 1)),
+    "K": (2, (0, 1)),
+    "F1": (3, (0, -2, 1)),      # i(i-2)
+    "F2": (3, (0, -5, 2)),      # 2i^2 - 5i
+    "F3": (4, (3, -4, 1)),      # (i-1)(i-3)
+}
+
+
+def e_weighted(trunc: int, lo: int, weight: tuple[int, ...],
                hi: Optional[int] = None) -> Series:
-    """sum_{i=lo}^{min(hi, trunc)} weight(i) * e_i z^i."""
+    """sum_{i=lo}^{min(hi, trunc)} weight(i) e_i z^i, for the polynomial
+    weight(i) = sum_j weight[j] i^j."""
     top = trunc if hi is None else min(hi, trunc)
     coeffs = [SymE.zero()] * (trunc + 1)
     for i in range(max(lo, 0), top + 1):
-        w = weight(i)
+        w = 0
+        for c in reversed(weight):
+            w = w * i + c
         if w:
             coeffs[i] = e(i) * w
     return Series(coeffs, trunc)
 
 
-def E(trunc: int) -> Series:
-    """sum_{i>=0} e_i z^i (generating function of the elementary basis)."""
-    return e_weighted(trunc, 0, lambda i: 1)
+def weighted(name: str, trunc: int, lo: int = 0, hi: Optional[int] = None) -> Series:
+    """The WEIGHTED row name from index max(lo, its own lo) up to hi.
 
-
-def D(trunc: int) -> Series:
-    """E - zE' = 1 - sum_{i>=2} (i-1) e_i z^i; the shared gf denominator."""
-    return Series.one(trunc) - G(trunc)
-
-
-def G(trunc: int) -> Series:
-    """sum_{i>=2} (i-1) e_i z^i = 1 - D; geometric kernel of 1/D."""
-    return e_weighted(trunc, 2, lambda i: i - 1)
-
-
-def K(trunc: int) -> Series:
-    """sum_{i>=2} i e_i z^i."""
-    return e_weighted(trunc, 2, lambda i: i)
-
-
-def F1(trunc: int) -> Series:
-    """sum_{i>=3} i(i-2) e_i z^i."""
-    return e_weighted(trunc, 3, lambda i: i * (i - 2))
-
-
-def F2(trunc: int) -> Series:
-    """sum_{i>=3} (2i^2-5i) e_i z^i."""
-    return e_weighted(trunc, 3, lambda i: 2 * i * i - 5 * i)
-
-
-def F3(trunc: int) -> Series:
-    """sum_{i>=4} (i-1)(i-3) e_i z^i."""
-    return e_weighted(trunc, 4, lambda i: (i - 1) * (i - 3))
-
-
-def _need_k(k: int) -> None:
-    if k < 2:
-        raise ValueError("k-indexed series need k >= 2")
-
-
-def E_geq(k: int, trunc: int) -> Series:
-    """sum_{i>=k} e_i z^i."""
-    _need_k(k)
-    return e_weighted(trunc, k, lambda i: 1)
-
-
-def K_geq(k: int, trunc: int) -> Series:
-    """sum_{i>=k} i e_i z^i."""
-    _need_k(k)
-    return e_weighted(trunc, k, lambda i: i)
-
-
-def G_geq(k: int, trunc: int) -> Series:
-    """sum_{i>=k} (i-1) e_i z^i."""
-    _need_k(k)
-    return e_weighted(trunc, k, lambda i: i - 1)
-
-
-def G_leq(k: int, trunc: int) -> Series:
-    """sum_{2<=i<=k} (i-1) e_i z^i = G - G_geq(k+1)."""
-    _need_k(k)
-    return e_weighted(trunc, 2, lambda i: i - 1, hi=k)
-
-
-def cycle_numerator(trunc: int) -> Series:
-    """z^2 E'' = sum_{i>=2} i(i-1) e_i z^i."""
-    return e_weighted(trunc, 2, lambda i: i * (i - 1))
-
-
-def z_E_prime(trunc: int) -> Series:
-    """zE' = sum_{i>=1} i e_i z^i."""
-    return e_weighted(trunc, 1, lambda i: i)
+    lo only raises the first index, so a row is never read outside the range
+    where it is declared (F2 from 2 would gain -2 e_2 z^2)."""
+    first, weight = WEIGHTED[name]
+    return e_weighted(trunc, max(first, lo), weight, hi)
 
 
 def path_gf(trunc: int) -> Series:
     """E/D; the z^n coefficient is the chromatic symmetric function of the n-path."""
-    return E(trunc) / D(trunc)
+    return weighted("E", trunc) / weighted("D", trunc)
 
 
 def cycle_gf(trunc: int) -> Series:
     """z^2 E''/D; the z^n coefficient is the chromatic symmetric function of the n-cycle."""
-    return cycle_numerator(trunc) / D(trunc)
+    return e_weighted(trunc, 2, (0, -1, 1)) / weighted("D", trunc)
 
 
-_PLAIN = {
-    "E": E, "D": D, "G": G, "K": K, "F1": F1, "F2": F2, "F3": F3,
-    "path-gf": path_gf, "cycle-gf": cycle_gf,
-}
-_K_INDEXED = {"E_geq": E_geq, "K_geq": K_geq, "G_geq": G_geq, "G_leq": G_leq}
+# The k-indexed CLI names: the row each reads and the end that k sets, so
+# E_geq(k) = sum_{i>=k} e_i z^i and G_leq(k) = sum_{2<=i<=k} (i-1) e_i z^i.
+_K_INDEXED = {"E_geq": ("E", "lo"), "K_geq": ("K", "lo"), "G_geq": ("G", "lo"),
+              "G_leq": ("G", "hi")}
+_GFS = {"path-gf": path_gf, "cycle-gf": cycle_gf}
+SERIES_NAMES = (*WEIGHTED, *_K_INDEXED, *_GFS)
 
 
 def named_series(name: str, trunc: int, k: Optional[int] = None) -> Series:
-    """Series lookup for the CLI vocabulary (E, D, G, K, F1..F3, *_geq, G_leq, path-gf, cycle-gf)."""
+    """Series lookup for the CLI vocabulary SERIES_NAMES; "_gf" may stand for "-gf"."""
     key = name.replace("_gf", "-gf")
-    if key in _PLAIN:
+    if key not in SERIES_NAMES:
+        raise ValueError(f"unknown series {name!r}")
+    if key not in _K_INDEXED:
         if k is not None:
             raise ValueError(f"series {name!r} takes no k")
-        return _PLAIN[key](trunc)
-    if key in _K_INDEXED:
-        if k is None:
-            raise ValueError(f"series {name!r} needs --k")
-        return _K_INDEXED[key](k, trunc)
-    raise ValueError(f"unknown series {name!r}")
+        return _GFS[key](trunc) if key in _GFS else weighted(key, trunc)
+    if k is None:
+        raise ValueError(f"series {name!r} needs --k")
+    if k < 2:
+        raise ValueError("k-indexed series need k >= 2")
+    row, end = _K_INDEXED[key]
+    return weighted(row, trunc, **{end: k})

@@ -238,14 +238,15 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
     one = Series.one(N)
     e1z = Series.monomial(e(1), 1, N)
     e2z2 = Series.monomial(e(2), 2, N)
-    d = ps.D(N)
+    d = ps.weighted("D", N)
     inv_d = ps.invert_unit(d)
     xp = ps.path_gf(N)
     xc = ps.cycle_gf(N)
+    z2e = ps.e_weighted(N, 2, (0, -1, 1))  # z^2 E''
 
     with col.group("gf-vs-denominator") as g:
-        g.check("path*D=E", xp * d, ps.E(N))
-        g.check("cycle*D=z2E''", xc * d, ps.cycle_numerator(N))
+        g.check("path*D=E", xp * d, ps.weighted("E", N))
+        g.check("cycle*D=z2E''", xc * d, z2e)
         g.check("invD*D=1", inv_d * d, one)
 
     with col.group("inverse-denominator-epsilon") as g:
@@ -255,33 +256,34 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                 g.check(f"eps-{lam}", coeff.coefficient(lam), epsilon(lam))
 
     with col.group("epos-combos") as g:
-        z2e = ps.cycle_numerator(N)
-        zep = ps.z_E_prime(N)
-        g.check("combo-1", z2e - zep + e1z, ps.F1(N))
-        g.check("combo-2", z2e * 2 - zep * 3 + e1z * 3 + e2z2 * 2, ps.F2(N))
-        g.check("combo-3", z2e - zep * 3 + ps.E(N) * 3 + e2z2,
-                Series.monomial(SymE.const(3), 0, N) + ps.F3(N))
-        for name, val in (("1", ps.F1(N)), ("2", ps.F2(N)), ("3", ps.F3(N))):
-            g.check_true(f"combo-{name}-epos",
-                         all(c.is_e_positive() for c in val.coeffs))
+        zep = ps.e_weighted(N, 1, (0, 1))  # z E'
+        g.check("combo-1", z2e - zep + e1z, ps.weighted("F1", N))
+        g.check("combo-2", z2e * 2 - zep * 3 + e1z * 3 + e2z2 * 2, ps.weighted("F2", N))
+        g.check("combo-3", z2e - zep * 3 + ps.weighted("E", N) * 3 + e2z2,
+                Series.monomial(SymE.const(3), 0, N) + ps.weighted("F3", N))
+        for i in (1, 2, 3):
+            g.check_true(f"combo-{i}-epos",
+                         all(c.is_e_positive() for c in ps.weighted(f"F{i}", N).coeffs))
 
     with col.group("epos-numerators") as g:
-        g.check("path-minus-head", (xp - one - e1z) * d, ps.K(N) + e1z * ps.G(N))
+        g.check("path-minus-head", (xp - one - e1z) * d,
+                ps.weighted("K", N) + e1z * ps.weighted("G", N))
         g.check("cycle-combination",
                 ((one + e1z) * xc - xp + one + e1z) * d,
-                (one + e1z) * ps.F1(N) + e1z * (ps.E(N) - one - e1z))
+                (one + e1z) * ps.weighted("F1", N) + e1z * (ps.weighted("E", N) - one - e1z))
 
     with col.group("path-gf-split") as g:
         g.check("K/D+e1zG/D+1+e1z",
-                ps.K(N) * inv_d + e1z * ps.G(N) * inv_d + one + e1z, xp)
+                ps.weighted("K", N) * inv_d + e1z * ps.weighted("G", N) * inv_d + one + e1z,
+                xp)
 
     with col.group("truncation-splits") as g:
         for k in (2, 3, 4):
-            lhs = (one - ps.G_leq(k, N)) * inv_d
-            g.check(f"reciprocal-k{k}", lhs, one + ps.G_geq(k + 1, N) * inv_d)
-            g.check(f"path-k{k}", xp * (one - ps.G_leq(k, N)),
-                    ps.E(N) + xp * ps.G_geq(k + 1, N))
-            g.check(f"split-k{k}", ps.G_leq(k, N) + ps.G_geq(k + 1, N), ps.G(N))
+            head, tail = ps.weighted("G", N, hi=k), ps.weighted("G", N, lo=k + 1)
+            lhs = (one - head) * inv_d
+            g.check(f"reciprocal-k{k}", lhs, one + tail * inv_d)
+            g.check(f"path-k{k}", xp * (one - head), ps.weighted("E", N) + xp * tail)
+            g.check(f"split-k{k}", head + tail, ps.weighted("G", N))
 
     with col.group("alpha-consistency") as g:
         g.check("both-leaves-vs-leaf-twin", fam.both_leaves_gf_quarter(N) * 4,
@@ -318,11 +320,9 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                         g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
 
     with col.group("grading") as g:
-        named = {"E": ps.E(N), "D": ps.D(N), "G": ps.G(N), "K": ps.K(N),
-                 "F1": ps.F1(N), "F2": ps.F2(N), "F3": ps.F3(N),
-                 "1/D": inv_d}
-        for name, series in named.items():
-            g.check_true(f"{name}", series.graded_ok())
+        for name in ps.WEIGHTED:
+            g.check_true(name, ps.weighted(name, N).graded_ok())
+        g.check_true("1/D", inv_d.graded_ok())
     return col.results
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from chromasym import cli
 from chromasym.cli import main
 from chromasym.csf import DEFAULT_MAX_VERTICES
 from chromasym.families import FAMILIES
+from chromasym.powerseries import SERIES_NAMES
 from chromasym.symfun import _MEMOS, SymE
 
 
@@ -93,6 +95,23 @@ def test_csf_too_many_vertices_is_usage_error(monkeypatch, capsys):
     assert err == "error: graph has 15 vertices, oracle bound is 14\n"
 
 
+_NEST = "twin(" * 5000 + "path:3" + ",0)" * 5000
+
+
+@pytest.mark.parametrize("spec, vertices", [
+    ("path:1000000000", 10**9), ("cycle:1000000000", 10**9),
+    ("moose:1000000000", 10**9 + FAMILIES["moose"].extra),
+    ("flagpole:1000000000,3", 10**9 + FAMILIES["flagpole"].extra),
+    (_NEST, 5003)], ids=["path", "cycle", "moose", "flagpole", "twin-nest-5000"])
+def test_oversized_graph_spec_is_refused_before_it_is_built(capsys, spec, vertices):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "csf", "--graph", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: graph has {vertices} vertices, oracle bound is {DEFAULT_MAX_VERTICES}\n"
+
+
 def test_csf_of_a_dense_graph(capsys):
     # dense graphs are computed: K_12 has 66 edges
     edges = ",".join(f"{a}-{b}" for a, b in combinations(range(12), 2))
@@ -159,7 +178,8 @@ def test_family_help_lists_every_family(monkeypatch, capsys):
     from chromasym.families import FAMILIES
 
     listed = {"family": list(FAMILIES),
-              "coeff": [name for name, spec in FAMILIES.items() if spec.coeff]}
+              "coeff": [name for name, spec in FAMILIES.items() if spec.coeff],
+              "series": list(SERIES_NAMES)}
     for columns in ("80", "40"):
         monkeypatch.setenv("COLUMNS", columns)
         for command, names in listed.items():

@@ -142,6 +142,19 @@ def test_parse_graph():
         parse_graph("g:edges=0-1")
 
 
+def test_parse_graph_counts_vertices_up_to_the_oracle_bound():
+    # a twin( nest counts its base and its depth; 14 vertices is the bound
+    want = path(3)
+    for _ in range(11):
+        want = twin(want, 0)
+    assert parse_graph("twin(" * 11 + " path:3" + ",0)" * 11) == want
+    with pytest.raises(ValueError, match="^graph has 15 vertices, oracle bound is 14$"):
+        parse_graph("twin(" * 12 + "path:3" + ",0)" * 12)
+    assert parse_graph("moose:12").n == 14
+    with pytest.raises(ValueError, match="^graph has 15 vertices"):
+        parse_graph("moose:13")
+
+
 def test_triangles_enumeration():
     assert list(triangles(path(5))) == []
     assert list(triangles(cycle(3))) == [(0, 1, 2)]

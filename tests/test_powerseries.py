@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +36,7 @@ def test_mul_difference_of_squares():
 
 
 def test_add_denominator_and_gap_gives_one():
-    total = ps.D(8) + ps.G(8)
+    total = ps.weighted("D", 8) + ps.weighted("G", 8)
     assert total == Series.one(8)
 
 
@@ -52,8 +54,8 @@ def test_shift():
 
 
 def test_invert_unit_definition():
-    inv = invert_unit(ps.D(12))
-    assert inv * ps.D(12) == Series.one(12)
+    inv = invert_unit(ps.weighted("D", 12))
+    assert inv * ps.weighted("D", 12) == Series.one(12)
     assert invert_unit(Series.one(6)) == Series.one(6)
 
 
@@ -68,13 +70,13 @@ def test_invert_unit_with_a_linear_term():
 
 def test_invert_unit_rejects_non_unit():
     with pytest.raises(ValueError):
-        invert_unit(ps.G(6))
+        invert_unit(ps.weighted("G", 6))
     with pytest.raises(ValueError):
         invert_unit(Series.one(6) * 2)
 
 
 def test_inverse_denominator_coefficients_are_epsilon():
-    inv = invert_unit(ps.D(10))
+    inv = invert_unit(ps.weighted("D", 10))
     assert inv.extract(5).coefficient((3, 2)) == epsilon((3, 2)) == 4
     for n in range(0, 11):
         coeff = inv.extract(n)
@@ -83,25 +85,59 @@ def test_inverse_denominator_coefficients_are_epsilon():
 
 
 def test_named_series_values():
-    assert ps.G(5).extract(3) == e(3) * 2
-    assert ps.F2(5).extract(3) == e(3) * 3
-    assert ps.G_geq(4, 5).extract(3) == SymE.zero()
-    assert ps.E(5).extract(2) == e(2)
-    assert ps.D(5).extract(1) == SymE.zero()
-    assert ps.K(5).extract(2) == e(2) * 2
-    assert ps.F3(6).extract(4) == e(4) * 3
-    assert ps.F1(6).extract(3) == e(3) * 3
+    assert ps.weighted("G", 5).extract(3) == e(3) * 2
+    assert ps.weighted("F2", 5).extract(3) == e(3) * 3
+    assert ps.weighted("G", 5, lo=4).extract(3) == SymE.zero()
+    assert ps.weighted("E", 5).extract(2) == e(2)
+    assert ps.weighted("D", 5).extract(1) == SymE.zero()
+    assert ps.weighted("K", 5).extract(2) == e(2) * 2
+    assert ps.weighted("F3", 6).extract(4) == e(4) * 3
+    assert ps.weighted("F1", 6).extract(3) == e(3) * 3
 
 
 def test_g_leq_plus_tail_is_g():
     for k in (2, 3, 4, 7):
-        assert ps.G_leq(k, 9) + ps.G_geq(k + 1, 9) == ps.G(9)
+        assert ps.weighted("G", 9, hi=k) + ps.weighted("G", 9, lo=k + 1) == ps.weighted("G", 9)
+
+
+def test_weighted_rows():
+    assert list(ps.WEIGHTED) == ["E", "D", "G", "K", "F1", "F2", "F3"]
+    for name, (lo, weight) in ps.WEIGHTED.items():
+        series = ps.weighted(name, 9)
+        for i in range(10):
+            w = sum(c * i ** j for j, c in enumerate(weight)) if i >= lo else 0
+            assert series.extract(i) == e(i) * w, (name, i)
+    # a row is never read below its own first index
+    assert ps.weighted("F2", 8, lo=2) == ps.weighted("F2", 8)
+    assert ps.weighted("F2", 8, lo=4).extract(3) == SymE.zero()
+    assert ps.weighted("K", 8, lo=3, hi=5).coeffs[3:7] == (e(3) * 3, e(4) * 4, e(5) * 5,
+                                                          SymE.zero())
+
+
+def _shifted(lo, weight):
+    """The coefficients in t of weight(lo + t), lowest power first."""
+    return [sum(c * comb(j, m) * lo ** (j - m) for j, c in enumerate(weight) if j >= m)
+            for m in range(len(weight))]
+
+
+def test_weighted_rows_are_e_positive_for_every_i():
+    # weight(lo + t) with no negative coefficient in t is >= 0 for every
+    # i >= lo, not only below a truncation
+    for name, (lo, weight) in ps.WEIGHTED.items():
+        shifted = _shifted(lo, weight)
+        for t in range(6):
+            assert sum(c * t ** m for m, c in enumerate(shifted)) == \
+                sum(c * (lo + t) ** j for j, c in enumerate(weight))
+        if name != "D":
+            assert all(c >= 0 for c in shifted), (name, shifted)
+    # D = 1 - G is the one row with negative weights, and the check sees it
+    assert _shifted(*ps.WEIGHTED["D"]) == [1, -1]
 
 
 def test_k_indexed_series_reject_small_k():
-    for builder in (ps.E_geq, ps.K_geq, ps.G_geq, ps.G_leq):
-        with pytest.raises(ValueError):
-            builder(1, 5)
+    for name in ("E_geq", "K_geq", "G_geq", "G_leq"):
+        with pytest.raises(ValueError, match="k >= 2"):
+            named_series(name, 5, k=1)
 
 
 def test_path_gf_first_values():
@@ -125,11 +161,13 @@ def test_cycle_gf_first_values():
 def test_grading_of_named_series():
     for name in ("E", "D", "G", "K", "F1", "F2", "F3", "path-gf", "cycle-gf"):
         assert named_series(name, 9).graded_ok(), name
-    assert invert_unit(ps.D(9)).graded_ok()
+    assert invert_unit(ps.weighted("D", 9)).graded_ok()
 
 
 def test_named_series_dispatch():
-    assert named_series("G_geq", 6, k=3) == ps.G_geq(3, 6)
+    assert named_series("G_geq", 6, k=3) == ps.weighted("G", 6, lo=3)
+    assert named_series("G_leq", 6, k=3) == ps.weighted("G", 6, hi=3)
+    assert named_series("F2", 6) == ps.weighted("F2", 6)
     assert named_series("path-gf", 5) == ps.path_gf(5)
     assert named_series("path_gf", 5) == ps.path_gf(5)
     with pytest.raises(ValueError):
@@ -141,11 +179,11 @@ def test_named_series_dispatch():
 
 
 def test_scalar_multiplication():
-    s = ps.G(4) * 3
+    s = ps.weighted("G", 4) * 3
     assert s.extract(2) == e(2) * 3
-    t = ps.G(4) * e(1)
+    t = ps.weighted("G", 4) * e(1)
     assert t.extract(2) == e_term((2, 1))
-    u = 2 * ps.G(4)
+    u = 2 * ps.weighted("G", 4)
     assert u.extract(3) == e(3) * 4
 
 
@@ -203,7 +241,7 @@ def test_series_mul_matches_cauchy_sum(a, b, cancel):
 
 @pytest.mark.parametrize("n", range(15))
 def test_invert_unit_of_denominator(n):
-    assert invert_unit(ps.D(n)) * ps.D(n) == Series.one(n)
+    assert invert_unit(ps.weighted("D", n)) * ps.weighted("D", n) == Series.one(n)
 
 
 @st.composite
@@ -270,15 +308,15 @@ def test_division_by_denominator_matches_inverse_product(name, k):
     N = 14
     num = named_series(name, N, k)
     assert num.trunc == N
-    d = ps.D(N)
+    d = ps.weighted("D", N)
     assert num / d == num * invert_unit(d)
 
 
 def test_division_rejects_non_unit_divisor():
-    for divisor in (ps.G(6), ps.E(6) * 2, Series([], 6), -Series.one(6)):
+    for divisor in (ps.weighted("G", 6), ps.weighted("E", 6) * 2, Series([], 6), -Series.one(6)):
         with pytest.raises(ValueError):
             Series.one(6) / divisor
         with pytest.raises(ValueError):
-            ps.E(6) / divisor
+            ps.weighted("E", 6) / divisor
     with pytest.raises(TypeError):
         Series.one(6) / 2
