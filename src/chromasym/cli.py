@@ -107,6 +107,10 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:  # before any check runs, so a bad path costs no work
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from None
     results = verify.run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
                                 seed=args.seed)
     failures = [r for r in results if r.status != "pass"]
@@ -118,9 +122,9 @@ def _cmd_verify(args) -> int:
         "cases": [r.to_json_obj() for r in results],
         "failed": len(failures),
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
+    if out:
+        with out:
+            json.dump(report, out, indent=2)
     if args.json:
         print(json.dumps(report))
     else:

@@ -193,10 +193,6 @@ def both_leaves_gf_quarter_alt(trunc: int) -> Series:
 _both_rec_cache: dict[int, SymE] = _memo()
 
 
-def _both_leaves_seeds() -> dict[int, SymE]:
-    return {2: e(4) * 24, 3: e_term((3, 2), 4) + e_term((4, 1), 12) + e(5) * 20}
-
-
 def _both_leaves_drive(m: int) -> SymE:
     return (e(m + 2) * (4 * (m + 2))
             + e(m + 1) * e(1) * (4 * m)
@@ -331,16 +327,15 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     sum_{i=3}^{ell} (i-1) e_i z^i sum_{j=ell-i+2}^{ell-2} X_{P_j} z^j
     + ell e_{ell+1} z^{ell+1} sum_{j=1}^{ell-2} X_{P_j} z^j
     + E_{>=ell+2} (1 + sum_{j=0}^{ell-2} X_{P_j} z^j)
-    + (path_gf - sum_{j=0}^{ell-2} X_{P_j} z^j) w
-    + path_gf (2 G_{>=ell+2} + sum_{i=1}^{ell-2} X_{P_i} z^i G_{>=ell+2-i}),
-    with w = sum_{i=2}^{ell+1} (i-2) e_i z^i.
+    + (w T + E cofactor)/D,
+    with w = sum_{i=2}^{ell+1} (i-2) e_i z^i, the cofactor
+    2 G_{>=ell+2} + sum_{i=1}^{ell-2} X_{P_i} z^i G_{>=ell+2-i}, and the
+    path tail T = D (path_gf - sum_{j=0}^{ell-2} X_{P_j} z^j), whose z^d
+    coefficient is 0 for d < ell-1 and, by the path recurrence,
+    d e_d + sum_{i=max(2, d-ell+2)}^{d-1} (i-1) e_i X_{P_{d-i}} from d = ell-1 on.
 
     Empty summation ranges contribute nothing (ell = 2 and 3 drop several
-    terms).  Since path_gf X = (E X)/D, the two path_gf terms are evaluated
-    as one quotient (E (w + cofactor))/D minus the polynomial head times w,
-    so only sparse factors are multiplied and D divides once.  Near ell =
-    trunc the head holds most path terms below trunc and head w is dense,
-    so there path_gf is multiplied out as written.
+    terms).  Every part is e-positive and D divides once.
     """
     if ell < 2:
         raise ValueError("interior twin needs ell >= 2")
@@ -353,17 +348,16 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     acc = acc + ps.weighted("E", trunc, lo=ell + 2)
     acc = acc + ps.weighted("E", trunc, lo=ell + 2) * path_head
     w = ps.e_weighted(trunc, 2, (-2, 1), hi=ell + 1)
-    # the e-positive cofactor of path_gf: 2 G_{>=ell+2} + sum_i G_{>=ell+2-i} X_{P_i} z^i
     cofactor = ps.weighted("G", trunc, lo=ell + 2) * 2
     for i in range(1, ell - 1):
         cofactor = cofactor + (Series.monomial(path_seq(i), i, trunc)
                                * ps.weighted("G", trunc, lo=ell + 2 - i))
-    # (trunc - ell)^2 <= 2 trunc follows where the two evaluations' counts of
-    # term products cross, as counted for every trunc up to 37
-    if (trunc - ell) ** 2 <= 2 * trunc:
-        xp = ps.path_gf(trunc)
-        return acc + (xp - path_head) * w + xp * cofactor
-    return acc + ps.weighted("E", trunc) * (w + cofactor) / ps.weighted("D", trunc) - path_head * w
+    tail = Series([SymE.zero()] * (ell - 1) + [
+        _sum_of_products([(e_term((d,), d), SymE.one())]
+                         + [(e_term((i,), i - 1), path_seq(d - i))
+                            for i in range(max(2, d - ell + 2), d)])
+        for d in range(ell - 1, trunc + 1)], trunc)
+    return acc + (w * tail + ps.weighted("E", trunc) * cofactor) / ps.weighted("D", trunc)
 
 
 def _interior_identity(n: int, ell: int) -> SymE:
@@ -389,14 +383,6 @@ def _interior_drive(m: int, ell: int) -> SymE:
     for j in range(m - ell + 1, m - ell + 3):
         acc = acc + e(j) * (2 * (j - 2)) * path_seq(m + 1 - j)
     return acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
-
-
-def _interior_recurrence(n: int, ell: int) -> SymE:
-    # the rule holds from n = ell + 1 on, except at (3, 2): that one is
-    # seeded from the six-term identity
-    return _recur(_interior_rec_cache.setdefault(ell, {}), n,
-                  lambda: {3: _interior_identity(3, 2)} if ell == 2 else {},
-                  ell + 1, ell + 1, lambda m: _interior_drive(m, ell))
 
 
 def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
@@ -655,16 +641,16 @@ FAMILIES: dict[str, FamilySpec] = {
              "full": (1, lambda N, ell: leaf_twin_gf(N))}, gf_from=1,
         coeff=lambda lam: twin_path_leaf_coeff(lam), coeff_from=1, e_positive=True),
     # the clone n of 0, then the clone n+1 of n-1; the identity and the gf
-    # start at n = 3, so the identity pins n = 2 (K_4) and the gf route falls
-    # back to it, but the coefficient formula holds at n = 2 too
+    # start at n = 3, so the identity and the recurrence pin n = 2 (K_4), the
+    # gf route falls back to it, and the coefficient formula holds at n = 2 too
     "twin-path-both": FamilySpec(
         lambda n, ell: twin(twin(path(n), 0), n - 1),
         {"identity": lambda n, ell: e(4) * 24 if n == 2 else (
             path_seq(n + 2) - e(2) * path_seq(n) * 2
             + e_term((2, 2)) * path_seq(n - 2)) * 4,
          "gf": "quarter",
-         "recurrence": lambda n, ell: _recur(_both_rec_cache, n, _both_leaves_seeds,
-                                             4, 3, _both_leaves_drive)},
+         "recurrence": lambda n, ell: _recur(_both_rec_cache, n, lambda: {2: e(4) * 24},
+                                             3, 3, _both_leaves_drive)},
         min_n=2, extra=2,
         gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
              "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N))}, gf_from=3,
@@ -675,7 +661,9 @@ FAMILIES: dict[str, FamilySpec] = {
         {"identity": lambda n, ell: _interior_identity(n, ell),
          "gf": "full",
          "epos-gf": "epos-half",
-         "recurrence": lambda n, ell: _interior_recurrence(n, ell)},
+         "recurrence": lambda n, ell: _recur(_interior_rec_cache.setdefault(ell, {}), n, dict,
+                                             ell + 1, ell + 1,
+                                             lambda m: _interior_drive(m, ell))},
         min_n=3, extra=1, ells=lambda n: range(2, n),
         gfs={"epos-half": (2, lambda N, ell: interior_gf_epos_half(ell, N)),
              "full": (1, lambda N, ell: interior_gf(ell, N))}, gf_from=3,

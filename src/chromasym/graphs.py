@@ -149,8 +149,13 @@ def _base_spec(text: str) -> tuple[int, Callable[[], Graph]]:
     if text.startswith("g:"):
         n = None
         edges: list[tuple[int, int]] = []
+        seen: set[str] = set()
         for field in text[2:].split(";"):
             field = field.strip()
+            key = field.partition("=")[0]
+            if field and key in seen:
+                raise ValueError(f"bad graph spec {text!r}: {key}= is given twice")
+            seen.add(key)
             if field.startswith("n="):
                 n = _int(field[2:], text)
             elif field.startswith("edges="):

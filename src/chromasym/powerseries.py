@@ -13,8 +13,7 @@ identity in this package.  Every denominator in sight
 has constant term 1, so num / f solves f h = num degree by degree, and each
 quotient such as path_gf = E/D is one division, not a product with 1/D.
 A generating-function form multiplies its sparse factors first and divides
-by D once; only the paper-literal cross-check forms, and the interior epos
-half near ell = trunc, multiply path_gf.
+by D once; only the paper-literal cross-check forms multiply path_gf.
 """
 
 from __future__ import annotations

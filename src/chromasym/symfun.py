@@ -188,7 +188,9 @@ class SymE:
         return degrees.pop()
 
     def negative_term(self) -> Optional[tuple[Partition, int]]:
-        """One (partition, coefficient) pair with negative coefficient, or None."""
+        """The first negative pair of _sorted_items, or None without sorting."""
+        if min(self._terms.values(), default=0) >= 0:
+            return None
         for lam, c in self._sorted_items():
             if c < 0:
                 return (lam, c)

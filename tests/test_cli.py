@@ -241,6 +241,20 @@ def test_verify_small_run(capsys, tmp_path):
     assert {"suite", "case", "status", "expected", "actual"} <= set(report["cases"][0])
 
 
+def test_verify_unwritable_out_stops_before_any_check(monkeypatch, capsys, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("checked before opening --out")
+
+    monkeypatch.setattr(cli.verify, "run_suites", no_work)
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        code, stdout, err = run_cli(capsys, "verify", "--suite", "partitions",
+                                    "--out", str(out))
+        assert code == 2, out
+        assert stdout == ""
+        assert err.startswith("error: cannot write --out") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+
 def test_verify_oracle_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "5")
     assert code == 0
@@ -462,6 +476,7 @@ _MALFORMED_GRAPH_SPECS = [
     "twin(twin(path:3,1))", "g:n=3;edges=0-5", "g:n=3;edges=-1-2", "g:n=3;edges=0-0",
     "g:edges=0-1", "g:n=x", "g:n=-1", "g:n=3;foo=1", "g:n=3;edges=0-1-2",
     "g:n=3;edges=0-1,,1-2", "g:n=3;edges=0-", "cycle:2", "(", ")",
+    "g:n=3;edges=0-1;n=2", "g:n=3;edges=0-1;edges=1-2",
 ]
 _MALFORMED_GRAPHS = st.sampled_from(_MALFORMED_GRAPH_SPECS)
 

@@ -205,8 +205,8 @@ def test_f_poly_matches_its_positive_form():
 
 @pytest.mark.parametrize("ell", range(2, 13))
 def test_interior_epos_half_gf_is_the_half_gf(ell):
-    # every depth from ell + 2 to 20 reaches both evaluations of the half gf:
-    # one quotient by D, and path_gf multiplied out near ell = trunc
+    # the one quotient by D at every depth from ell + 2 to 20, ell near the
+    # depth included, against the paper-literal path_gf f_ell + g_ell
     for trunc in range(ell + 2, 21):
         half = fam.interior_gf_epos_half(ell, trunc)
         assert half == ps.path_gf(trunc) * fam.f_poly(ell, trunc) + fam.g_poly(ell, trunc), trunc
@@ -257,10 +257,56 @@ def test_interior_forms_divide_by_d_once(monkeypatch):
     for ell in range(3, 9):
         assert work(lambda: fam.interior_gf_epos_half(ell, 24)) <= 2 * path_work, ell
         assert work(lambda: fam.interior_gf(ell, 24)) <= 2 * path_work, ell
-    # near ell = trunc the head times w is dense (2.2-2.5 times path_gf at
-    # ell 21-22), so the epos half multiplies path_gf out there instead
+    # near ell = trunc the path tail T = D (path_gf - head) is short, so the
+    # epos half's one quotient costs less (0.5-1.4 times path_gf at ell 21-23)
     for ell in range(21, 24):
         assert work(lambda: fam.interior_gf_epos_half(ell, 24)) <= 2 * path_work, ell
+
+
+@pytest.mark.parametrize("name", [name for name, spec in fam.FAMILIES.items()
+                                  if spec.e_positive and spec.gfs])
+def test_epos_forms_are_written_as_evaluated(monkeypatch, name):
+    # the e-positive form is built from e-positive parts by sums, products
+    # and one quotient by D, with nothing subtracted or negated on the way
+    def refuse(*args):
+        raise AssertionError("an e-positive form subtracts")
+
+    divisors = []
+    divide = ps.Series.__truediv__
+
+    def recording(num, den):
+        divisors.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(ps.Series, "__sub__", refuse)
+    monkeypatch.setattr(ps.Series, "__neg__", refuse)
+    monkeypatch.setattr(ps.Series, "__truediv__", recording)
+    spec = fam.FAMILIES[name]
+    build = next(iter(spec.gfs.values()))[1]
+    for trunc in (3, 14, 24):
+        for ell in (range(2, 13) if spec.ells else (None,)):
+            divisors.clear()
+            build(trunc, ell)
+            assert divisors == [ps.weighted("D", trunc)], (trunc, ell)
+
+
+def test_recurrences_do_not_consult_the_identities(monkeypatch):
+    # the interior recurrence seeds nothing and the both-leaves one only K_4,
+    # so on cold memos neither reaches its family's identity
+    interior = {(n, ell): fam.twin_path_interior(n, ell, "identity")
+                for n in range(3, 13) for ell in range(2, n)}
+    both = {n: fam.twin_path_both(n, "identity") for n in range(2, 13)}
+
+    def refuse(*args):
+        raise AssertionError("a recurrence consulted an identity")
+
+    chromasym.clear_caches()
+    monkeypatch.setattr(fam, "_interior_identity", refuse)
+    monkeypatch.setitem(fam.FAMILIES["twin-path-both"].routes, "identity", refuse)
+    for (n, ell), want in interior.items():
+        assert fam.twin_path_interior(n, ell, "recurrence") == want, (n, ell)
+    for n, want in both.items():
+        assert fam.twin_path_both(n, "recurrence") == want, n
 
 
 def test_g_poly_cancellation():
