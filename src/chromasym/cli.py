@@ -70,7 +70,7 @@ def _cmd_family(args) -> int:
     if args.n > MAX_DEPTH:
         raise ValueError(f"--n must be <= {MAX_DEPTH}, got {args.n}")
     name = args.name
-    if args.method == "all":
+    if families._canon(args.method) == "all":
         methods = families.methods_for(name)
         values = {m: families.family_value(name, args.n, args.ell, m)
                   for m in methods}

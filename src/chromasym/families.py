@@ -158,7 +158,7 @@ def twin_path_leaf_coeff(lam) -> int:
 
 
 def alpha_poly(trunc: int) -> Series:
-    """Correction polynomial linking the both-leaves gf to the leaf-twin gf:
+    """alpha in 4 both_leaves_gf_quarter = 2 (1 - e_2 z^2) leaf_twin_gf + 2 alpha:
     2 e_2^2 z^4 - (8 e_4 z^4 + 4 e_3 e_1 z^4 + 6 e_3 z^3 + 2 e_2 z^2)."""
     c4 = e_term((2, 2), 2) - e(4) * 8 - e_term((3, 1), 4)
     return (Series.monomial(c4, 4, trunc)
@@ -307,19 +307,6 @@ def interior_gf(ell: int, trunc: int) -> Series:
     evaluated as 2 ((E f_ell)/D + g_ell)."""
     return (ps.weighted("E", trunc) * f_poly(ell, trunc) / ps.weighted("D", trunc)
             + g_poly(ell, trunc)) * 2
-
-
-def interior_epos_f_product(ell: int, trunc: int) -> Series:
-    """Cancellation-free rewrite of path_gf * f_ell:
-    path_gf sum_{i=3}^{ell+1} (i-2) e_i z^i + 2(E + path_gf G_{>=ell+2})
-    + sum_{i=1}^{ell-2} (E + path_gf G_{>=ell+2-i}) X_{P_i} z^i."""
-    xp = ps.path_gf(trunc)
-    acc = xp * ps.e_weighted(trunc, 3, (-2, 1), hi=ell + 1)
-    acc = acc + (ps.weighted("E", trunc) + xp * ps.weighted("G", trunc, lo=ell + 2)) * 2
-    for i in range(1, ell - 1):
-        acc = acc + ((ps.weighted("E", trunc) + xp * ps.weighted("G", trunc, lo=ell + 2 - i))
-                     * Series.monomial(path_seq(i), i, trunc))
-    return acc
 
 
 def interior_gf_epos_half(ell: int, trunc: int) -> Series:
@@ -575,13 +562,13 @@ class FamilySpec:
     member, the first being the default.  gfs maps each name of an equal
     form of the generating function, the e-positive one first, to
     (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
-    scale * f is the member's value.  A route may instead name a gfs form:
-    family_value then extracts that coefficient from f(n + extra, ell), and
-    below gf_from it gives the default route's value.  coeff(lam) is the
-    printed coefficient formula: for n >= coeff_from, coeff_scale * coeff(lam)
-    is the e_lam coefficient of the value at n = |lam| - extra, and None means
-    no printed form.  e_positive marks the families the paper claims
-    e-positive.
+    scale * f is the member's value, and f is zero below the first member's
+    z^(n+extra).  A route may instead name a gfs form: family_value then
+    extracts that coefficient from f(n + extra, ell), and below gf_from it
+    gives the default route's value.  coeff(lam) is the printed coefficient
+    formula: for n >= coeff_from, coeff_scale * coeff(lam) is the e_lam
+    coefficient of the value at n = |lam| - extra, and None means no printed
+    form.  e_positive marks the families the paper claims e-positive.
     """
 
     graph: Callable[[int, Optional[int]], Graph]
@@ -653,7 +640,9 @@ FAMILIES: dict[str, FamilySpec] = {
                                              3, 3, _both_leaves_drive)},
         min_n=2, extra=2,
         gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
-             "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N))}, gf_from=3,
+             "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N)),
+             "from-leaf": (1, lambda N, ell: (Series.one(N) - Series.monomial(e(2), 2, N))
+                           * leaf_twin_gf(N) * 2 + alpha_poly(N) * 2)}, gf_from=3,
         coeff=lambda lam: twin_path_both_coeff(lam), coeff_from=2, e_positive=True),
     # the clone n of spine position ell
     "twin-path-interior": FamilySpec(

@@ -32,6 +32,11 @@ EPSILON_TABLE = {
     (3, 3, 2): 12, (2, 2, 2, 2): 1,
 }
 
+EPSILON_UNION_MAX = 10  # these bounds do not scale with --max-n or --max-deg
+RING_LAW_ROUNDS = 40
+NEWTON_MAX_N = 8
+SPECIALS_MAX = 10  # largest n, and largest k*r, of the coefficient specials
+
 
 @dataclass
 class CaseResult:
@@ -104,7 +109,7 @@ def epsilon_table_check() -> list[CaseResult]:
     return col.results
 
 
-def epsilon_properties_check(max_size: int = 12, max_union: int = 10) -> list[CaseResult]:
+def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
     col = Collector("partitions")
     with col.group("epsilon-closed-forms") as g:
         for n in range(1, 41):
@@ -132,7 +137,7 @@ def epsilon_properties_check(max_size: int = 12, max_union: int = 10) -> list[Ca
                 g.check(str(lam), epsilon(lam),
                         sum((j - 1) * epsilon_minus(lam, j) for j in support(lam)))
     with col.group("epsilon-union") as g:
-        for total in range(0, max_union + 1):
+        for total in range(0, EPSILON_UNION_MAX + 1):
             for n in range(0, total + 1):
                 for lam in partitions_of(n):
                     for mu in partitions_of(total - n):
@@ -185,11 +190,11 @@ def _random_syme(rng: random.Random) -> SymE:
     return SymE(terms)
 
 
-def ring_laws_check(seed: int = 0, rounds: int = 40) -> list[CaseResult]:
+def ring_laws_check(seed: int = 0) -> list[CaseResult]:
     rng = random.Random(seed)
     col = Collector("series")
     with col.group("ring-laws") as g:
-        for i in range(rounds):
+        for i in range(RING_LAW_ROUNDS):
             a, b, c = (_random_syme(rng) for _ in range(3))
             g.check(f"assoc-add-{i}", (a + b) + c, a + (b + c))
             g.check(f"assoc-mul-{i}", (a * b) * c, a * (b * c))
@@ -204,11 +209,11 @@ def ring_laws_check(seed: int = 0, rounds: int = 40) -> list[CaseResult]:
     return col.results
 
 
-def newton_check(max_n: int = 8) -> list[CaseResult]:
+def newton_check() -> list[CaseResult]:
     col = Collector("series")
     with col.group("newton-powersums") as g:
         from .symfun import power_sum_to_e
-        for n in range(1, max_n + 1):
+        for n in range(1, NEWTON_MAX_N + 1):
             points = [tuple(range(1, n + 1)),
                       tuple(range(2, n + 2)),
                       tuple((-1) ** i * (i + 1) for i in range(n))]
@@ -272,11 +277,6 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                 ((one + e1z) * xc - xp + one + e1z) * d,
                 (one + e1z) * ps.weighted("F1", N) + e1z * (ps.weighted("E", N) - one - e1z))
 
-    with col.group("path-gf-split") as g:
-        g.check("K/D+e1zG/D+1+e1z",
-                ps.weighted("K", N) * inv_d + e1z * ps.weighted("G", N) * inv_d + one + e1z,
-                xp)
-
     with col.group("truncation-splits") as g:
         for k in (2, 3, 4):
             head, tail = ps.weighted("G", N, hi=k), ps.weighted("G", N, lo=k + 1)
@@ -285,17 +285,10 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             g.check(f"path-k{k}", xp * (one - head), ps.weighted("E", N) + xp * tail)
             g.check(f"split-k{k}", head + tail, ps.weighted("G", N))
 
-    with col.group("alpha-consistency") as g:
-        g.check("both-leaves-vs-leaf-twin", fam.both_leaves_gf_quarter(N) * 4,
-                fam.leaf_twin_gf(N) * (one - e2z2) * 2 + fam.alpha_poly(N) * 2)
-
     with col.group("interior-f-forms") as g:
         for ell in range(2, 9):
             g.check(f"f{ell}-alt", fam.f_poly(ell, ell + 2),
                     fam.f_poly_alt(ell, ell + 2))
-        for ell in GF_ELLS:
-            g.check(f"f-product-ell{ell}", xp * fam.f_poly(ell, N),
-                    fam.interior_epos_f_product(ell, N))
 
     with col.group("interior-cancellation") as g:
         for ell in range(2, 7):
@@ -308,16 +301,19 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
     for name, label, spec, ell in _gf_members():
         forms = {form: (scale, series(N, ell)) for form, (scale, series) in spec.gfs.items()}
         first, (first_scale, first_series) = next(iter(forms.items()))
+        members = [n for n in range(spec.gf_from, N - spec.extra + 1)
+                   if ell is None or ell in spec.ells(n)]
+        low = members[0] + spec.extra if members else N + 1  # each form is 0 below z^low
         with col.group(f"{label}-gf") as g:
             for form, (scale, series) in forms.items():
                 g.check_true(f"{form}-graded", series.graded_ok())
+                g.check(f"{form}-zero-below-z^{low}", series.coeffs[:low], (SymE.zero(),) * low)
                 if form != first:
                     g.check(f"{form}-vs-{first}", series * scale, first_series * first_scale)
-            for n in range(spec.gf_from, N - spec.extra + 1):
-                if ell is None or ell in spec.ells(n):
-                    value = fam.family_value(name, n, ell)
-                    for form, (scale, series) in forms.items():
-                        g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
+            for n in members:
+                value = fam.family_value(name, n, ell)
+                for form, (scale, series) in forms.items():
+                    g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
 
     with col.group("grading") as g:
         for name in ps.WEIGHTED:
@@ -378,7 +374,7 @@ def e_positivity_check(trunc: int = 12, max_vertices: int = 9) -> list[CaseResul
     return col.results
 
 
-def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[CaseResult]:
+def coeff_specials_check() -> list[CaseResult]:
     """Verify the table of special coefficients on computed sequences.
 
     One check each for [e_n] X_{P_n} = n, [e_{n-1}e_1] X_{P_n} = n-2,
@@ -389,15 +385,15 @@ def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[CaseResult]:
     col = Collector("families")
     with col.group("coefficient-specials") as g:
         path, cycle = fam.path_seq, fam.cycle_seq
-        for n in range(2, max_n + 1):
+        for n in range(2, SPECIALS_MAX + 1):
             g.check(f"[e_{n}] path({n})", path(n).coefficient((n,)), n)
             g.check(f"[e_{n-1}e_1] path({n})", path(n).coefficient((n - 1, 1)), n - 2)
             g.check(f"[e_{n}] cycle({n})", cycle(n).coefficient((n,)), n * (n - 1))
-        for n in range(5, max_n + 1):
+        for n in range(5, SPECIALS_MAX + 1):
             g.check(f"[e_{n-2}e_2] path({n})", path(n).coefficient((n - 2, 2)), 3 * n - 8)
             g.check(f"[e_{n-2}e_2] cycle({n})", cycle(n).coefficient((n - 2, 2)), n * (n - 3))
-        for k in range(2, max_kr + 1):
-            for r in range(1, max_kr // k + 1):
+        for k in range(2, SPECIALS_MAX + 1):
+            for r in range(1, SPECIALS_MAX // k + 1):
                 lam = (k,) * r
                 g.check(f"[e_({k}^{r})] path({k * r})",
                         path(k * r).coefficient(lam), k * (k - 1) ** (r - 1))
@@ -407,7 +403,7 @@ def coeff_specials_check(max_n: int = 10, max_kr: int = 10) -> list[CaseResult]:
     return col.results
 
 
-def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResult]:
+def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
     col = Collector("families")
     with col.group("coefficient-formulas") as g:
         for name, spec in fam.FAMILIES.items():
@@ -473,7 +469,7 @@ def coefficient_sweeps_check(max_size: int = 9, grid: int = 10) -> list[CaseResu
                     fam.twin_path_leaf_coeff((2,) * k + (1,)), 0)
         for k in range(2, max_size // 2 + 1):
             g.check(f"case-h-zero:{k}", fam.twin_path_leaf_coeff((2,) * k), 0)
-    return col.results + coeff_specials_check(grid, grid)
+    return col.results + coeff_specials_check()
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +597,7 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
     results: list[CaseResult] = []
     if "partitions" in wanted:
         results += epsilon_table_check()
-        results += epsilon_properties_check(min(12, max_deg), 10)
+        results += epsilon_properties_check(min(12, max_deg))
         results += enumeration_check(max_deg)
     if "series" in wanted:
         results += ring_laws_check(seed)
@@ -610,7 +606,7 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
     if "families" in wanted:
         results += family_sweep_check(max_n)
         results += e_positivity_check(max_deg, max_n)
-        results += coefficient_sweeps_check(max_n, 10)
+        results += coefficient_sweeps_check(max_n)
     if "oracle" in wanted:
         results += fixtures_check()
         results += structural_check(max_n)

@@ -49,7 +49,7 @@ def test_criterion_4_generating_function_identities():
 
 def test_criterion_5_coefficient_formulas():
     _run("criterion 5 (coefficient formulas, partitions up to size 9)",
-         [lambda: verify.coefficient_sweeps_check(max_size=9, grid=10)],
+         [lambda: verify.coefficient_sweeps_check(max_size=9)],
          limit=30.0)
 
 
@@ -60,7 +60,7 @@ def test_criterion_6_e_positivity():
 
 def test_criterion_7_structural_properties():
     _run("criterion 7 (statistic identities, deletion identities, colorings)",
-         [lambda: verify.epsilon_properties_check(max_size=12, max_union=10),
+         [lambda: verify.epsilon_properties_check(max_size=12),
           lambda: verify.enumeration_check(max_size=12),
           lambda: verify.structural_check(max_vertices=9)],
          limit=5.0)

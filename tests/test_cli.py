@@ -19,8 +19,8 @@ from chromasym import cli
 from chromasym.cli import main
 from chromasym.csf import DEFAULT_MAX_VERTICES
 from chromasym.families import FAMILIES
-from chromasym.powerseries import SERIES_NAMES
-from chromasym.symfun import _MEMOS, SymE
+from chromasym.powerseries import SERIES_NAMES, Series
+from chromasym.symfun import _MEMOS, SymE, e
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,15 @@ def test_family_all_methods(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "twin-cycle", "--n", "4")
     assert code == 0
     assert out.strip() == "50*e[5] + 6*e[4,1] + 4*e[3,2]"
+
+
+def test_family_all_methods_in_any_spelling(capsys):
+    want = run_cli(capsys, "family", "--name", "twin-cycle", "--n", "4", "--method", "all")
+    assert want[0] == 0
+    for spelling in ("ALL", " All "):
+        got = run_cli(capsys, "family", "--name", "twin-cycle", "--n", "4",
+                      "--method", spelling)
+        assert got == want, spelling
 
 
 def test_family_single_method_json(capsys):
@@ -375,6 +384,19 @@ def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch
     cyc = FAMILIES["twin-cycle"]
     monkeypatch.setitem(FAMILIES, "twin-cycle", dataclasses.replace(cyc, coeff_scale=1))
     assert _failed_groups(verify.coefficient_sweeps_check(7)) == {"coefficient-formulas"}
+
+
+def test_verify_checks_gf_forms_below_their_first_member(monkeypatch):
+    # the same 2 e_3 z^3 in every twinned-cycle form times its scale: the
+    # forms still agree with each other, and z^3 is below the first member's
+    # z^(3+1), so only the check that each form is zero there can see it
+    cyc = FAMILIES["twin-cycle"]
+    shifted = {form: (scale, lambda N, ell, build=build, scale=scale: build(N, ell)
+                      + Series.monomial(e(3) * (2 // scale), 3, N))
+               for form, (scale, build) in cyc.gfs.items()}
+    monkeypatch.setitem(FAMILIES, "twin-cycle", dataclasses.replace(cyc, gfs=shifted))
+    failed = [r.case for r in cli.verify.series_identities_check(8) if r.status != "pass"]
+    assert failed == [f"twin-cycle-gf:{form}-zero-below-z^4" for form in cyc.gfs]
 
 
 def test_a_gf_route_reads_its_form_from_the_table(monkeypatch):

@@ -449,7 +449,7 @@ def test_path_cycle_coeff_full_sweep():
 
 
 def test_coeff_specials_clean():
-    results = verify.coeff_specials_check(10, 10)
+    results = verify.coeff_specials_check()
     assert [(r.case, r.status, r.expected) for r in results] == [
         ("coefficient-specials", "pass", "74 checks")]
 
@@ -458,7 +458,7 @@ def test_coeff_specials_catch_a_wrong_special(monkeypatch):
     right = fam.cycle_seq
     monkeypatch.setattr(fam, "cycle_seq",
                         lambda n: right(n) + e_term((2, 2)) if n == 4 else right(n))
-    failed = {r.case: (r.expected, r.actual) for r in verify.coeff_specials_check(10, 10)}
+    failed = {r.case: (r.expected, r.actual) for r in verify.coeff_specials_check()}
     assert failed == {"coefficient-specials:[e_2^2] cycle(4)": ("2", "3"),
                       "coefficient-specials:[e_(2^2)] cycle(4)": ("2", "3")}
 
