@@ -225,16 +225,7 @@ def newton_check() -> list[CaseResult]:
 
 
 # the two-parameter families' generating functions are checked at these ell
-GF_ELLS = (2, 3, 4)
-
-
-def _gf_members():
-    """Yield (name, label, spec, ell) for every family with gf forms, at each
-    ell of GF_ELLS for the two-parameter families."""
-    for name, spec in fam.FAMILIES.items():
-        if spec.gfs:
-            for ell in GF_ELLS if spec.ells else (None,):
-                yield name, name if ell is None else f"{name}-ell{ell}", spec, ell
+GF_ELLS = range(2, 7)
 
 
 def series_identities_check(trunc: int = 12) -> list[CaseResult]:
@@ -290,30 +281,31 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             g.check(f"f{ell}-alt", fam.f_poly(ell, ell + 2),
                     fam.f_poly_alt(ell, ell + 2))
 
-    with col.group("interior-cancellation") as g:
-        for ell in range(2, 7):
-            low = (ps.path_gf(ell + 1) * fam.f_poly(ell, ell + 1)) * 2
-            gl = fam.g_poly(ell, ell + 1)
-            for degree in range(0, ell + 2):
-                g.check(f"ell{ell}-z^{degree}", low.extract(degree),
-                        gl.extract(degree) * -2)
-
-    for name, label, spec, ell in _gf_members():
-        forms = {form: (scale, series(N, ell)) for form, (scale, series) in spec.gfs.items()}
-        first, (first_scale, first_series) = next(iter(forms.items()))
-        members = [n for n in range(spec.gf_from, N - spec.extra + 1)
-                   if ell is None or ell in spec.ells(n)]
-        low = members[0] + spec.extra if members else N + 1  # each form is 0 below z^low
-        with col.group(f"{label}-gf") as g:
-            for form, (scale, series) in forms.items():
-                g.check_true(f"{form}-graded", series.graded_ok())
-                g.check(f"{form}-zero-below-z^{low}", series.coeffs[:low], (SymE.zero(),) * low)
-                if form != first:
-                    g.check(f"{form}-vs-{first}", series * scale, first_series * first_scale)
-            for n in members:
-                value = fam.family_value(name, n, ell)
+    for name, spec in fam.FAMILIES.items():
+        if not spec.gfs:
+            continue
+        for ell in GF_ELLS if spec.ells else (None,):
+            label = name if ell is None else f"{name}-ell{ell}"
+            forms = {form: (scale, series(N, ell)) for form, (scale, series) in spec.gfs.items()}
+            first, (first_scale, first_series) = next(iter(forms.items()))
+            members = [n for n in range(spec.gf_from, N - spec.extra + 1)
+                       if ell is None or ell in spec.ells(n)]
+            low = members[0] + spec.extra if members else N + 1  # each form is 0 below z^low
+            with col.group(f"{label}-gf") as g:
                 for form, (scale, series) in forms.items():
-                    g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
+                    g.check_true(f"{form}-graded", series.graded_ok())
+                    g.check(f"{form}-zero-below-z^{low}", series.coeffs[:low],
+                            (SymE.zero(),) * low)
+                    if form != first:
+                        g.check(f"{form}-vs-{first}", series * scale, first_series * first_scale)
+                for degree, coeff in enumerate(first_series.coeffs):
+                    witness = coeff.negative_term()
+                    g.check_true(f"{first}-epos-z^{degree}", witness is None,
+                                 f"negative term {witness}")
+                for n in members:
+                    value = fam.family_value(name, n, ell)
+                    for form, (scale, series) in forms.items():
+                        g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
 
     with col.group("grading") as g:
         for name in ps.WEIGHTED:
@@ -327,50 +319,31 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
 
 
 def family_instances(max_vertices: int = 9):
-    """Yield (name, label, graph-or-None, {method: callable}) for every family
-    member whose graph has at most max_vertices vertices (plus graphless
-    conventions)."""
+    """Yield (name, n, ell, label, graph-or-None) for every family member whose
+    graph has at most max_vertices vertices (plus graphless conventions)."""
     for name, spec in fam.FAMILIES.items():
         for n in range(spec.min_n, max_vertices - spec.extra + 1):
             for ell in spec.ells(n) if spec.ells else (None,):
                 label = f"{name}:n={n}" if ell is None else f"{name}:n={n},ell={ell}"
                 graph = graphs.family(name, n, ell) if n >= spec.pinned_below else None
-                yield (name, label, graph,
-                       {m: (lambda name=name, n=n, ell=ell, m=m:
-                            fam.family_value(name, n, ell, m))
-                        for m in spec.routes})
+                yield name, n, ell, label, graph
 
 
 def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
-    """Method agreement and oracle agreement for every family instance."""
+    """Method and oracle agreement, and e-positivity where claimed, of every member."""
     col = Collector("families")
-    with col.group("method-and-oracle-agreement") as g:
-        for _, label, graph, methods in family_instances(max_vertices):
-            values = {m: build() for m, build in methods.items()}
+    with col.group("method-and-oracle-agreement") as g, col.group("family-values-epos") as pos:
+        for name, n, ell, label, graph in family_instances(max_vertices):
+            spec = fam.FAMILIES[name]
+            values = {m: fam.family_value(name, n, ell, m) for m in spec.routes}
             first = next(iter(values.values()))
             for m, val in values.items():
                 g.check(f"{label}:{m}", val, first)
             if graph is not None:
                 g.check(f"{label}:oracle", csf(graph), first)
-    return col.results
-
-
-def e_positivity_check(trunc: int = 12, max_vertices: int = 9) -> list[CaseResult]:
-    col = Collector("families")
-    with col.group("family-values-epos") as g:
-        for name, label, _, methods in family_instances(max_vertices):
-            if not fam.FAMILIES[name].e_positive:
-                continue
-            val = next(iter(methods.values()))()
-            witness = val.negative_term()
-            g.check_true(label, witness is None, f"negative term {witness}")
-    with col.group("gf-coefficients-epos") as g:
-        for _, label, spec, ell in _gf_members():
-            form, (_, series) = next(iter(spec.gfs.items()))
-            for degree, coeff in enumerate(series(trunc, ell).coeffs):
-                witness = coeff.negative_term()
-                g.check_true(f"{label}:{form}:z^{degree}", witness is None,
-                             f"negative term {witness}")
+            if spec.e_positive:
+                witness = first.negative_term()
+                pos.check_true(label, witness is None, f"negative term {witness}")
     return col.results
 
 
@@ -520,7 +493,7 @@ def fixtures_check() -> list[CaseResult]:
 
 def structural_check(max_vertices: int = 9) -> list[CaseResult]:
     col = Collector("oracle")
-    inventory = [(label, graph) for _, label, graph, _ in family_instances(max_vertices)
+    inventory = [(label, graph) for _, _, _, label, graph in family_instances(max_vertices)
                  if graph is not None]
 
     with col.group("homogeneity") as g:
@@ -579,7 +552,9 @@ SUITES = ("partitions", "series", "families", "oracle")
 
 
 def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[CaseResult]:
-    """Run the selected suites (or all) and return sorted case results."""
+    """Run the selected suites (or all; a string names one) and return sorted results."""
+    if isinstance(names, str):
+        names = [names]
     wanted = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
@@ -605,7 +580,6 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
         results += series_identities_check(max_deg)
     if "families" in wanted:
         results += family_sweep_check(max_n)
-        results += e_positivity_check(max_deg, max_n)
         results += coefficient_sweeps_check(max_n)
     if "oracle" in wanted:
         results += fixtures_check()

@@ -25,6 +25,7 @@ def _run(label, checks, limit=None):
                        for r in failures[:5])
     assert not failures, detail
     assert in_budget, f"{label} took {elapsed:.2f}s, budget {limit}s"
+    return results
 
 
 def test_criterion_1_epsilon_table():
@@ -54,8 +55,14 @@ def test_criterion_5_coefficient_formulas():
 
 
 def test_criterion_6_e_positivity():
-    _run("criterion 6 (e-positivity of family values and gf coefficients)",
-         [lambda: verify.e_positivity_check(trunc=12, max_vertices=9)])
+    results = _run("criterion 6 (e-positivity of family values and gf coefficients)",
+                   [lambda: verify.family_sweep_check(max_vertices=9),
+                    lambda: verify.series_identities_check(trunc=12)])
+    groups = {r.case for r in results}
+    assert "family-values-epos" in groups
+    assert {"path-gf", "cycle-gf", "twin-path-leaf-gf", "twin-path-both-gf",
+            "twin-cycle-gf"} <= groups
+    assert {f"twin-path-interior-ell{ell}-gf" for ell in range(2, 7)} <= groups
 
 
 def test_criterion_7_structural_properties():

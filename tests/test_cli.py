@@ -412,6 +412,61 @@ def test_a_gf_route_reads_its_form_from_the_table(monkeypatch):
     assert _failed_groups(verify.family_sweep_check(6)) == {"method-and-oracle-agreement"}
 
 
+def test_run_suites_takes_one_suite_name_as_a_string():
+    verify = cli.verify
+    one = verify.run_suites("series", max_n=3, max_deg=4)
+    assert {r.suite for r in one} == {"series"}
+    assert one == verify.run_suites(["series"], max_n=3, max_deg=4)
+    every = verify.run_suites("all", max_n=3, max_deg=2)
+    assert {r.suite for r in every} == set(verify.SUITES)
+    assert every == verify.run_suites(["all"], max_n=3, max_deg=2)
+    with pytest.raises(ValueError, match=r"unknown suites: \['nope'\]"):
+        verify.run_suites("nope")
+
+
+def test_verify_checks_e_positivity_where_each_form_and_value_is_built(monkeypatch):
+    verify = cli.verify
+    monkeypatch.setattr(SymE, "negative_term", lambda self: ((2, 1), -1))
+
+    results = verify.series_identities_check(8)
+    groups = {r.case.partition(":")[0] for r in results}
+    gf_groups = {group for group in groups if group.endswith("-gf")}
+    assert len(gf_groups) == 10 and "twin-path-interior-ell6-gf" in gf_groups
+    assert _failed_groups(results) == gf_groups | {"epos-combos"}
+    # each -gf group fails on its first form's coefficients, one per degree
+    for group in gf_groups:
+        name = group.partition("-ell")[0].removesuffix("-gf")
+        first = next(iter(FAMILIES[name].gfs))
+        failed = {r.case for r in results if r.case.startswith(f"{group}:")}
+        assert failed == {f"{group}:{first}-epos-z^{d}" for d in range(9)}, group
+
+    assert _failed_groups(verify.family_sweep_check(6)) == {"family-values-epos"}
+
+
+def test_verify_builds_each_gf_form_once_per_family_and_ell(monkeypatch):
+    verify = cli.verify
+    builds = {}
+
+    def counted(name, form, build):
+        def run(N, ell):
+            builds[name, form, ell, N] = builds.get((name, form, ell, N), 0) + 1
+            return build(N, ell)
+        return run
+
+    for name, spec in list(FAMILIES.items()):
+        gfs = {form: (scale, counted(name, form, build))
+               for form, (scale, build) in spec.gfs.items()}
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(spec, gfs=gfs))
+    verify.run_suites(["all"], max_n=9, max_deg=12)
+
+    want = {(name, form, ell) for name, spec in FAMILIES.items() for form in spec.gfs
+            for ell in (verify.GF_ELLS if spec.ells else (None,))}
+    assert {key[:3]: count for key, count in builds.items() if key[3] == 12} == \
+        dict.fromkeys(want, 1)
+    # the sweep's gf routes truncate at the member's own degree n + extra <= 9
+    assert all(N <= 9 for *_, N in builds if N != 12)
+
+
 def test_cli_depth_cap_stops_before_any_work(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("computed past the depth cap")

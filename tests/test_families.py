@@ -546,19 +546,18 @@ def test_family_instances_inventory():
             "tadpole": 6}
     members = list(family_instances(9))
     counts = {}
-    for name, label, graph, methods in members:
+    for name, n, ell, label, graph in members:
         assert label.startswith(f"{name}:n=")
         params = label.partition(":")[2]
         counts[name] = counts.get(name, 0) + 1
-        assert tuple(methods) == fam.methods_for(name)
+        args = dict(kv.split("=") for kv in params.split(","))
+        assert (int(args["n"]), int(args["ell"]) if "ell" in args else None) == (n, ell)
         if graph is None:
             continue
-        args = dict(kv.split("=") for kv in params.split(","))
-        ell = int(args["ell"]) if "ell" in args else None
-        assert graph == family(name, int(args["n"]), ell)
-        assert graph.n == int(args["n"]) + fam.FAMILIES[name].extra
+        assert graph == family(name, n, ell)
+        assert graph.n == n + fam.FAMILIES[name].extra
         assert graph.n <= 9
     assert counts == want
     assert set(counts) == set(fam.FAMILIES)
     assert len(members) == 154
-    assert sum(graph is not None for _, _, graph, _ in members) == 150
+    assert sum(graph is not None for *_, graph in members) == 150
