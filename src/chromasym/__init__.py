@@ -19,8 +19,10 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every module-level result memo, so the next call computes cold.
 
-    Each memo registers itself when its module is loaded; the CLI's shared
-    argument parser is not a memo and is kept: it holds no results.
+    Each memo registers itself when its module is loaded: the oracle's, the
+    power sums', the family recurrences' and the deepest build of each gf
+    form.  The CLI's shared argument parser is not a memo and is kept: it
+    holds no results.
     """
     from .symfun import _MEMOS
 

@@ -107,7 +107,10 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:  # before any check runs, so a bad path costs no work
+    # the bounds, then --out, before any check runs: a usage error costs no
+    # work and leaves an existing report as it was
+    verify.check_bounds(args.max_n, args.max_deg)
+    try:
         out = open(args.out, "w") if args.out else None
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None

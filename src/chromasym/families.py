@@ -564,8 +564,9 @@ class FamilySpec:
     (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
     scale * f is the member's value, and f is zero below the first member's
     z^(n+extra).  A route may instead name a gfs form: family_value then
-    extracts that coefficient from f(n + extra, ell), and below gf_from it
-    gives the default route's value.  coeff(lam) is the printed coefficient
+    extracts that coefficient from f(n + extra, ell), cut from the deepest
+    build of f at that ell so far, and below gf_from it gives the default
+    route's value.  coeff(lam) is the printed coefficient
     formula: for n >= coeff_from, coeff_scale * coeff(lam) is the e_lam
     coefficient of the value at n = |lam| - extra, and None means no printed
     form.  e_positive marks the families the paper claims e-positive.
@@ -734,7 +735,8 @@ def family_value(name: str, n: int, ell: Optional[int] = None,
 
     The CLI and every public route function come through here, so the domain
     check, the method lookup and the extraction of a route that names a gf
-    form happen in one place.
+    form happen in one place.  That extraction reads the form's deepest build
+    so far (powerseries.deepest), so a warm process builds each form once.
     """
     spec = family_spec(name)
     spec.check(name, n, ell)
@@ -747,7 +749,7 @@ def family_value(name: str, n: int, ell: Optional[int] = None,
     if n < spec.gf_from:
         return next(iter(spec.routes.values()))(n, ell)
     scale, form = spec.gfs[route]
-    return form(n + spec.extra, ell).extract(n + spec.extra) * scale
+    return ps.deepest(form, n + spec.extra, ell).extract(n + spec.extra) * scale
 
 
 def coeff_value(name: str, lam) -> Optional[int]:

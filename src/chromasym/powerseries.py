@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .symfun import SymE, _sum_of_products, e
+from .symfun import SymE, _memo, _sum_of_products, e
 
 # Deepest truncation the CLI computes (series --N, family --n, the coeff
 # member n, verify --max-deg): the deepest the benchmark workloads use, past
@@ -206,17 +206,32 @@ _K_INDEXED = {"E_geq": ("E", "lo"), "K_geq": ("K", "lo"), "G_geq": ("G", "lo"),
               "G_leq": ("G", "hi")}
 _GFS = {"path-gf": path_gf, "cycle-gf": cycle_gf}
 SERIES_NAMES = (*WEIGHTED, *_K_INDEXED, *_GFS)
+_deepest: dict[tuple, Series] = _memo()
+
+
+def deepest(build, trunc: int, *args) -> Series:
+    """build(trunc, *args), cut from the deepest build of (build, args) so far.
+
+    Only for builders that commute with truncation; the memo keeps one series
+    per key, replaced by a deeper request."""
+    key = (build, *args)
+    series = _deepest.get(key)
+    if series is None or series.trunc < trunc:
+        series = _deepest[key] = build(trunc, *args)
+    return series.truncate(trunc)
 
 
 def named_series(name: str, trunc: int, k: Optional[int] = None) -> Series:
-    """Series lookup for the CLI vocabulary SERIES_NAMES; "_gf" may stand for "-gf"."""
+    """Series lookup for the CLI vocabulary SERIES_NAMES; "_gf" may stand for "-gf".
+
+    path-gf and cycle-gf are cut from the deepest build so far (deepest)."""
     key = name.replace("_gf", "-gf")
     if key not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}")
     if key not in _K_INDEXED:
         if k is not None:
             raise ValueError(f"series {name!r} takes no k")
-        return _GFS[key](trunc) if key in _GFS else weighted(key, trunc)
+        return deepest(_GFS[key], trunc) if key in _GFS else weighted(key, trunc)
     if k is None:
         raise ValueError(f"series {name!r} needs --k")
     if k < 2:

@@ -551,14 +551,8 @@ def structural_check(max_vertices: int = 9) -> list[CaseResult]:
 SUITES = ("partitions", "series", "families", "oracle")
 
 
-def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[CaseResult]:
-    """Run the selected suites (or all; a string names one) and return sorted results."""
-    if isinstance(names, str):
-        names = [names]
-    wanted = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
-    unknown = set(names) - set(SUITES) - {"all"}
-    if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
+def check_bounds(max_n: int, max_deg: int) -> None:
+    """ValueError unless max_n and max_deg are within the bounds verify runs at."""
     # below these floors some groups check nothing and would pass vacuously
     if max_n < 3:
         raise ValueError(f"--max-n must be >= 3, got {max_n}")
@@ -569,6 +563,17 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
         raise ValueError(f"--max-n must be <= {DEFAULT_MAX_VERTICES}, got {max_n}")
     if max_deg > MAX_DEPTH:
         raise ValueError(f"--max-deg must be <= {MAX_DEPTH}, got {max_deg}")
+
+
+def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[CaseResult]:
+    """Run the selected suites (or all; a string names one) and return sorted results."""
+    if isinstance(names, str):
+        names = [names]
+    wanted = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
+    unknown = set(names) - set(SUITES) - {"all"}
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
+    check_bounds(max_n, max_deg)
     results: list[CaseResult] = []
     if "partitions" in wanted:
         results += epsilon_table_check()

@@ -135,6 +135,32 @@ def test_series_full_print(capsys):
     assert "z^3: 2*e[3]" in lines
 
 
+@pytest.mark.parametrize("name", ["path-gf", "cycle-gf"])
+def test_series_gf_is_cut_from_the_deepest_build(monkeypatch, capsys, name):
+    powerseries = cli.powerseries
+    asks = [("--N", "12", "--extract", "7"), ("--N", "12"), ("--N", "0"),
+            ("--N", "20", "--json")]
+    cold = {}
+    for ask in asks:
+        chromasym.clear_caches()
+        cold[ask] = run_cli(capsys, "series", "--name", name, *ask)
+        assert cold[ask][0] == 0
+
+    builds, build = [], powerseries._GFS[name]
+    monkeypatch.setitem(powerseries._GFS, name,
+                        lambda trunc: builds.append(trunc) or build(trunc))
+    chromasym.clear_caches()
+    assert run_cli(capsys, "series", "--name", name, "--N", "20")[0] == 0
+    for ask in asks:
+        assert run_cli(capsys, "series", "--name", name, *ask) == cold[ask], ask
+    assert builds == [20]
+    # a deeper request builds again and replaces the memo's series
+    assert run_cli(capsys, "series", "--name", name, "--N", "24")[0] == 0
+    for ask in asks:
+        assert run_cli(capsys, "series", "--name", name, *ask) == cold[ask], ask
+    assert builds == [20, 24]
+
+
 def test_series_k_indexed(capsys):
     code, out, _ = run_cli(capsys, "series", "--name", "G_geq", "--k", "4",
                            "--N", "5", "--extract", "3")
@@ -262,6 +288,19 @@ def test_verify_unwritable_out_stops_before_any_check(monkeypatch, capsys, tmp_p
         assert stdout == ""
         assert err.startswith("error: cannot write --out") and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+def test_verify_usage_error_keeps_an_existing_report(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"failed": 0}\n')
+    for flag, value in (("--max-n", 2), ("--max-deg", 1),
+                        ("--max-n", DEFAULT_MAX_VERTICES + 1)):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", flag, str(value),
+                                 "--out", str(report))
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+        assert report.read_bytes() == b'{"failed": 0}\n', (flag, value)
 
 
 def test_verify_oracle_suite(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -231,6 +232,55 @@ def test_gf_forms_commute_with_truncation(name, form, ell):
     for deep in range(1, 17):
         for shallow in range(deep):
             assert series[deep].truncate(shallow) == series[shallow], (deep, shallow)
+
+
+def _gf_route_asks():
+    """(name, n, ell, method) of every gf route at the ells verify checks,
+    n from 12 down to the family's gf_from."""
+    for name, spec in fam.FAMILIES.items():
+        for method, route in spec.routes.items():
+            if isinstance(route, str):
+                for ell in verify.GF_ELLS if spec.ells else (None,):
+                    for n in range(12, spec.gf_from - 1, -1):
+                        if ell is None or ell in spec.ells(n):
+                            yield name, n, ell, method
+
+
+def test_gf_routes_build_each_form_once_in_either_order(monkeypatch):
+    # a gf route cuts its coefficient from the deepest build of its form so
+    # far: asked from n = 12 down, each (form, ell) is built once, and asking
+    # upwards from cold memos gives the same values
+    builds = {}
+
+    def counted(key, build):
+        def run(N, ell):
+            builds[key + (ell,)] = builds.get(key + (ell,), 0) + 1
+            return build(N, ell)
+        return run
+
+    for name, spec in list(fam.FAMILIES.items()):
+        gfs = {form: (scale, counted((name, form), build))
+               for form, (scale, build) in spec.gfs.items()}
+        monkeypatch.setitem(fam.FAMILIES, name, dataclasses.replace(spec, gfs=gfs))
+    asks = list(_gf_route_asks())
+    chromasym.clear_caches()
+    down = {ask: fam.family_value(*ask) for ask in asks}
+    assert builds == {(name, fam.FAMILIES[name].routes[method], ell): 1
+                      for name, _, ell, method in asks}
+    assert down == {ask: fam.family_value(*ask[:3]) for ask in asks}
+
+    chromasym.clear_caches()
+    assert {ask: fam.family_value(*ask) for ask in reversed(asks)} == down
+
+
+def test_a_swapped_gf_builder_is_never_served_a_stale_series(monkeypatch):
+    half = fam.family_value("twin-cycle", 6, method="gf")
+    fam.family_value("twin-cycle", 8, method="gf")  # a deeper build of the half
+    # the full form declared as the half, at the half's scale 2
+    cyc = fam.FAMILIES["twin-cycle"]
+    swapped = dict(cyc.gfs, half=(2, cyc.gfs["full"][1]))
+    monkeypatch.setitem(fam.FAMILIES, "twin-cycle", dataclasses.replace(cyc, gfs=swapped))
+    assert fam.family_value("twin-cycle", 6, method="gf") == half * 2
 
 
 def test_interior_forms_divide_by_d_once(monkeypatch):
