@@ -182,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--name", required=True, help=", ".join(families.FAMILIES))
     p_family.add_argument("--n", type=int, required=True)
     p_family.add_argument("--ell", type=int)
+    routes = dict.fromkeys(m for spec in families.FAMILIES.values() for m in spec.routes)
     p_family.add_argument("--method", default="all",
-                          help="identity, gf, epos-gf, recurrence or all (default all)")
+                          help=", ".join([*routes, "all"]) + " (default all)")
     p_family.add_argument("--json", action="store_true")
     p_family.set_defaults(func=_cmd_family)
 

@@ -1,10 +1,14 @@
 """Closed forms, generating functions, recurrences, and coefficient formulas
 for paths, cycles, their twins, and the auxiliary families.
 
-Every family value is computable by at least two independent routes (closed
+Most family values are computable by at least two independent routes (closed
 identity in path/cycle values, generating function extraction, e-positive
-recurrence, or coefficient reassembly); none of the routes consults the
-brute-force oracle in csf, so oracle agreement is a genuine cross-check.
+recurrence, or coefficient reassembly).  Six families have one route: moose
+(its recurrence) and twin-interior-leaf, flagpole, triangle-path, dgraph and
+tadpole (their identities); their only independent check is the oracle in
+verify's member sweep, up to 14 vertices in the deep run.  None of the routes
+consults the brute-force oracle in csf, so oracle agreement is a genuine
+cross-check.
 
 Each family's generating functions and their scales, and the scale of its
 coefficient formula, are fields of its FAMILIES entry.
@@ -30,21 +34,27 @@ from .symfun import SymE, _memo, _sum_of_products, e, e_term
 # the recurrence engine, paths and cycles
 
 
-def _recur(memo: dict, n: int, seeds: Callable[[], dict], first: int, low: int,
+# key -> {n: X_n} for the recurrence named key: a family's table name, or
+# (name, ell) for the interior twin.  clear_caches() empties this outer dict,
+# so no code keeps an inner dict past one call.
+_recurrences: dict = _memo()
+
+
+def _recur(key, n: int, seeds: Callable[[], dict], first: int, low: int,
            drive: Callable[[int], SymE]) -> SymE:
     """X_n of the recurrence X_m = drive(m) + sum_{j=2}^{m-low} (j-1) e_j X_{m-j}
-    for m >= first; seeds() fills an empty memo with the values the rule does
-    not give.
+    for m >= first; seeds() gives the values the rule does not give.
 
     Every recurrence of the paper has this shape: the sum comes from the
     shared denominator D = 1 - sum_j (j-1) e_j z^j, and its weights j - 1
     are nonnegative.
     """
+    memo = _recurrences.get(key)
+    if memo is None:
+        memo = _recurrences[key] = seeds()
     got = memo.get(n)
     if got is not None:
         return got
-    if not memo:
-        memo.update(seeds())
     for m in range(first, n + 1):
         if m not in memo:
             memo[m] = drive(m) + _sum_of_products((e_term((j,), j - 1), memo[m - j])
@@ -52,17 +62,14 @@ def _recur(memo: dict, n: int, seeds: Callable[[], dict], first: int, low: int,
     return memo[n]
 
 
-_path_cache: dict[int, SymE] = _memo()
-_cycle_cache: dict[int, SymE] = _memo()
-
-
 def path_seq(n: int) -> SymE:
     """X of the n-vertex path: n e_n + sum_{j=2}^{n-1} (j-1) e_j X_{P_{n-j}}."""
-    got = _path_cache.get(n)
-    if got is not None:
-        return got
+    try:
+        return _recurrences["path"][n]
+    except KeyError:
+        pass
     FAMILIES["path"].check("path", n, None)
-    return _recur(_path_cache, n, lambda: {0: SymE.one()}, 1, 1, lambda m: e(m) * m)
+    return _recur("path", n, lambda: {0: SymE.one()}, 1, 1, lambda m: e(m) * m)
 
 
 def cycle_seq(n: int) -> SymE:
@@ -70,11 +77,12 @@ def cycle_seq(n: int) -> SymE:
 
     The rule gives the pinned conventions 0 and 2e_2 at n = 1 and 2.
     """
-    got = _cycle_cache.get(n)
-    if got is not None:
-        return got
+    try:
+        return _recurrences["cycle"][n]
+    except KeyError:
+        pass
     FAMILIES["cycle"].check("cycle", n, None)
-    return _recur(_cycle_cache, n, dict, 1, 2, lambda m: e(m) * (m * (m - 1)))
+    return _recur("cycle", n, dict, 1, 2, lambda m: e(m) * (m * (m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +113,14 @@ def leaf_twin_gf_half_alt(trunc: int) -> Series:
     return ps.path_gf(trunc) * ps.weighted("G", trunc, lo=3) + ps.weighted("E", trunc, lo=2)
 
 
-_leaf_rec_cache: dict[int, SymE] = _memo()
-
-
 def _leaf_twin_drive(m: int) -> SymE:
     return (e(m + 1) * (2 * (m + 1)) + e(m) * e(1) * (2 * (m - 1))
             + e(m - 1) * e(2) * (2 * (m - 3)))
 
 
+# twin_path_leaf, twin_path_both and twin_cycle stay as public entry points:
+# the query-mix benchmark's gate and the README example call them.  Every
+# other family is reached through family_value.
 def twin_path_leaf(n: int, method: str = "identity") -> SymE:
     """X of the n-path twinned at a leaf."""
     return family_value("twin-path-leaf", n, method=method)
@@ -188,9 +196,6 @@ def both_leaves_gf_quarter_alt(trunc: int) -> Series:
             + g3 * ps.weighted("E", trunc, lo=3)
             + Series.monomial(e(1), 1, trunc) * ps.weighted("G", trunc, lo=4)
             + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, (-2, 1)))
-
-
-_both_rec_cache: dict[int, SymE] = _memo()
 
 
 def _both_leaves_drive(m: int) -> SymE:
@@ -357,10 +362,6 @@ def _interior_identity(n: int, ell: int) -> SymE:
             - p(ell + 1) * p(n - ell) * 2)
 
 
-# one memo per ell, keyed by n
-_interior_rec_cache: dict[int, dict[int, SymE]] = _memo()
-
-
 def _interior_drive(m: int, ell: int) -> SymE:
     acc = e(m + 1) * (4 * (m + 1)) + e(1) * e(m) * (2 * m)
     for j in range(m - ell + 2, m):
@@ -370,43 +371,6 @@ def _interior_drive(m: int, ell: int) -> SymE:
     for j in range(m - ell + 1, m - ell + 3):
         acc = acc + e(j) * (2 * (j - 2)) * path_seq(m + 1 - j)
     return acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
-
-
-def twin_path_interior(n: int, ell: int, method: str = "identity") -> SymE:
-    """X of the n-path twinned at interior position ell (1-based)."""
-    return family_value("twin-path-interior", n, ell, method)
-
-
-def twin_interior_then_leaf(n: int, ell: int) -> SymE:
-    """X of the n-path twinned at interior position ell and then at the leaf n:
-    2 (X_{n+1,ell} - e_2 X_{n-1,ell})."""
-    return family_value("twin-interior-leaf", n, ell)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary families: flagpole, triangle path, deleted twinned cycles
-
-
-def flagpole_seq(n: int, ell: int) -> SymE:
-    """X of the path with a pendant at position ell:
-    X_{P_{n+1}} + e_1 X_{P_n} - X_{P_ell} X_{P_{n-ell+1}}."""
-    return family_value("flagpole", n, ell)
-
-
-def triangle_path_seq(n: int, ell: int) -> SymE:
-    """X of the path with a triangle vertex over positions ell, ell+1:
-    X_{F_{n,ell}} + X_{P_{n+1}} - X_{P_{ell+1}} X_{P_{n-ell}}."""
-    return family_value("triangle-path", n, ell)
-
-
-def dgraph_seq(n: int) -> SymE:
-    """X of the once-deleted twinned cycle: 2 X_{C_{n+1}} + e_1 X_{C_n} - 2 X_{P_{n+1}}."""
-    return family_value("dgraph", n)
-
-
-def tadpole_seq(n: int) -> SymE:
-    """X of the cycle with one pendant: X_{C_{n+1}} + e_1 X_{C_n} - X_{P_{n+1}}."""
-    return family_value("tadpole", n)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +408,6 @@ def twin_cycle_gf_half(trunc: int) -> Series:
            + Series.monomial(e(2), 2, trunc)
            * ps.e_weighted(trunc, 3, (2, -6, 2)))
     return ps.weighted("F2", trunc, lo=4) + num / ps.weighted("D", trunc)
-
-
-_twin_cycle_rec_cache: dict[int, SymE] = _memo()
 
 
 def _twin_cycle_drive(m: int) -> SymE:
@@ -502,25 +463,15 @@ def twin_cycle_coeff(lam) -> int:
 # moose graphs
 
 
-_moose_rec_cache: dict[int, SymE] = _memo()
-
-
+# The moose recurrence
+# X_n = sum_{j=2}^{n-2} (j-1) e_j X_{n-j} + (n+2)(n-1) e_{n+2}
+#       + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n
+# holds from n = 2 on, where the graph degenerates to the 4-path.
 def _moose_drive(m: int) -> SymE:
     return (e(m + 2) * ((m + 2) * (m - 1))
             + e(1) * e(m + 1) * (2 * (m * m - m - 1))
             + e_term((1, 1)) * e(m) * ((m - 1) * (m - 2))
             + e(2) * e(m) * 2)
-
-
-def moose(n: int, method: str = "recurrence") -> SymE:
-    """X of the cycle on n vertices with pendant leaves at both ends of one edge.
-
-    The recurrence
-    sum_{j=2}^{n-2} (j-1) e_j X_{n-j} + (n+2)(n-1) e_{n+2}
-    + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n
-    holds from n = 2 on, where the graph degenerates to the 4-path.
-    """
-    return family_value("moose", n, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +549,12 @@ class FamilySpec:
                              f"{span.start} <= ell <= {span[-1]}, got {ell}")
 
 
-# The routes call this module's functions by name, so a wrapper installed on
-# the module (a tracer or profiler) sees every call.  The auxiliary families
-# flagpole, triangle-path, dgraph and tadpole carry no e-positivity claim: the
-# stars among the flagpoles are genuine counterexamples.
+# The routes call this module's functions by name (path_seq, cycle_seq, the gf
+# builders, and family_value for a value of another family), so a wrapper
+# installed on the module (a tracer or profiler) sees every call.  The
+# auxiliary families flagpole, triangle-path, dgraph and tadpole carry no
+# e-positivity claim: the stars among the flagpoles are genuine
+# counterexamples.
 FAMILIES: dict[str, FamilySpec] = {
     "path": FamilySpec(
         lambda n, ell: path(n),
@@ -621,7 +574,7 @@ FAMILIES: dict[str, FamilySpec] = {
         lambda n, ell: twin(path(n), n - 1),
         {"identity": lambda n, ell: path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2,
          "gf": "half",
-         "recurrence": lambda n, ell: _recur(_leaf_rec_cache, n, lambda: {1: e(2) * 2},
+         "recurrence": lambda n, ell: _recur("twin-path-leaf", n, lambda: {1: e(2) * 2},
                                              2, 2, _leaf_twin_drive)},
         min_n=1, extra=1,
         gfs={"half": (2, lambda N, ell: leaf_twin_gf_half(N)),
@@ -637,7 +590,7 @@ FAMILIES: dict[str, FamilySpec] = {
             path_seq(n + 2) - e(2) * path_seq(n) * 2
             + e_term((2, 2)) * path_seq(n - 2)) * 4,
          "gf": "quarter",
-         "recurrence": lambda n, ell: _recur(_both_rec_cache, n, lambda: {2: e(4) * 24},
+         "recurrence": lambda n, ell: _recur("twin-path-both", n, lambda: {2: e(4) * 24},
                                              3, 3, _both_leaves_drive)},
         min_n=2, extra=2,
         gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
@@ -651,7 +604,7 @@ FAMILIES: dict[str, FamilySpec] = {
         {"identity": lambda n, ell: _interior_identity(n, ell),
          "gf": "full",
          "epos-gf": "epos-half",
-         "recurrence": lambda n, ell: _recur(_interior_rec_cache.setdefault(ell, {}), n, dict,
+         "recurrence": lambda n, ell: _recur(("twin-path-interior", ell), n, dict,
                                              ell + 1, ell + 1,
                                              lambda m: _interior_drive(m, ell))},
         min_n=3, extra=1, ells=lambda n: range(2, n),
@@ -661,8 +614,9 @@ FAMILIES: dict[str, FamilySpec] = {
     # the clone n of spine position ell, then the clone n+1 of the leaf n-1
     "twin-interior-leaf": FamilySpec(
         lambda n, ell: twin(twin(path(n), ell - 1), n - 1),
-        {"identity": lambda n, ell: (twin_path_interior(n + 1, ell)
-                                     - e(2) * twin_path_interior(n - 1, ell)) * 2},
+        {"identity": lambda n, ell: (
+            family_value("twin-path-interior", n + 1, ell)
+            - e(2) * family_value("twin-path-interior", n - 1, ell)) * 2},
         min_n=4, extra=2, ells=lambda n: range(2, n - 1), e_positive=True),
     # the clone n of 0; the gf starts at n = 3 and the coefficient formula at
     # the n = 2 convention
@@ -672,8 +626,8 @@ FAMILIES: dict[str, FamilySpec] = {
             cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
             - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2),
          "gf": "half",
-         "recurrence": lambda n, ell: _recur(_twin_cycle_rec_cache, n,
-                                             lambda: {1: e(2) * 2}, 2, 2, _twin_cycle_drive)},
+         "recurrence": lambda n, ell: _recur("twin-cycle", n, lambda: {1: e(2) * 2},
+                                             2, 2, _twin_cycle_drive)},
         min_n=1, extra=1, pinned_below=3,
         gfs={"half": (2, lambda N, ell: twin_cycle_gf_half(N)),
              "half-rewrite": (2, lambda N, ell: twin_cycle_gf_half_rewrite(N)),
@@ -685,7 +639,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "moose": FamilySpec(
         lambda n, ell: Graph(n + 2, [*(cycle(n) if n > 2 else path(2)).edges,
                                      (0, n), (1, n + 1)]),
-        {"recurrence": lambda n, ell: _recur(_moose_rec_cache, n, dict, 2, 2, _moose_drive)},
+        {"recurrence": lambda n, ell: _recur("moose", n, dict, 2, 2, _moose_drive)},
         min_n=2, extra=2, e_positive=True),
     # the pendant n at spine position ell
     "flagpole": FamilySpec(
@@ -696,7 +650,7 @@ FAMILIES: dict[str, FamilySpec] = {
     # the vertex n over spine positions ell and ell+1
     "triangle-path": FamilySpec(
         lambda n, ell: Graph(n + 1, [*path(n).edges, (ell - 1, n), (ell, n)]),
-        {"identity": lambda n, ell: (flagpole_seq(n, ell) + path_seq(n + 1)
+        {"identity": lambda n, ell: (family_value("flagpole", n, ell) + path_seq(n + 1)
                                      - path_seq(ell + 1) * path_seq(n - ell))},
         min_n=2, extra=1, ells=lambda n: range(1, n)),
     # the twinned cycle without the spine edge 0-(n-1)
@@ -733,10 +687,12 @@ def family_value(name: str, n: int, ell: Optional[int] = None,
                  method: Optional[str] = None) -> SymE:
     """Value dispatcher: one family tag, one n (and ell), one method.
 
-    The CLI and every public route function come through here, so the domain
-    check, the method lookup and the extraction of a route that names a gf
-    form happen in one place.  That extraction reads the form's deepest build
-    so far (powerseries.deepest), so a warm process builds each form once.
+    The CLI, the three public route functions (twin_path_leaf, twin_path_both,
+    twin_cycle) and every identity that reads another family come through
+    here, so the domain check, the method lookup and the extraction of a
+    route that names a gf form happen in one place.  That extraction reads
+    the form's deepest build so far (powerseries.deepest), so a warm process
+    builds each form once.
     """
     spec = family_spec(name)
     spec.check(name, n, ell)

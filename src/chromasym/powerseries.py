@@ -68,14 +68,6 @@ class Series:
             return self
         return Series(self.coeffs[: trunc + 1], trunc)
 
-    def shift(self, k: int) -> "Series":
-        """Multiply by z^k, keeping the same truncation."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        zero = SymE.zero()
-        coeffs = [zero] * min(k, self.trunc + 1) + list(self.coeffs)
-        return Series(coeffs[: self.trunc + 1], self.trunc)
-
     def _pair(self, other: "Series") -> tuple["Series", "Series"]:
         n = min(self.trunc, other.trunc)
         return self.truncate(n), other.truncate(n)

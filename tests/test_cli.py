@@ -212,7 +212,7 @@ def test_family_missing_ell(capsys):
 def test_family_help_lists_every_family(monkeypatch, capsys):
     from chromasym.families import FAMILIES
 
-    listed = {"family": list(FAMILIES),
+    listed = {"family": [*FAMILIES, *(m for spec in FAMILIES.values() for m in spec.routes)],
               "coeff": [name for name, spec in FAMILIES.items() if spec.coeff],
               "series": list(SERIES_NAMES)}
     for columns in ("80", "40"):

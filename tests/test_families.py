@@ -46,15 +46,19 @@ def test_recurrences_independent_of_call_order_and_warm_memos():
              + [("twin-path-leaf", n, None) for n in range(1, 21)]
              + [("twin-path-both", n, None) for n in range(2, 21)]
              + [("twin-cycle", n, None) for n in range(1, 21)]
-             + [("twin-path-interior", n, ell) for n in range(3, 17) for ell in range(2, n)])
+             + [("twin-path-interior", n, ell) for n in range(3, 17) for ell in range(2, n)]
+             + [("moose", n, None) for n in range(2, 21)])
     rng = random.Random(2024)
     xp, xc = ps.path_gf(20), ps.cycle_gf(20)
 
     def independent(name, n, ell):
         if name in ("path", "cycle"):
             return (xp if name == "path" else xc).extract(n)
+        if name == "moose":  # its only route, in increasing n from a cold memo
+            return fam.family_value(name, n)
         return fam.family_value(name, n, ell, "identity")
 
+    chromasym.clear_caches()
     want = {call: independent(*call) for call in calls}
     chromasym.clear_caches()
     for _ in ("cold", "warm"):
@@ -167,36 +171,38 @@ def test_alpha_consistency():
 
 
 def test_interior_twin_smallest_case():
-    assert fam.twin_path_interior(3, 2) == csf(family("twin-path-interior", 3, 2))
-    assert fam.twin_path_interior(3, 2) == e(4) * 16 + e_term((3, 1), 2)
+    assert fam.family_value("twin-path-interior", 3, 2) == csf(family("twin-path-interior", 3, 2))
+    assert fam.family_value("twin-path-interior", 3, 2) == e(4) * 16 + e_term((3, 1), 2)
 
 
 @pytest.mark.parametrize("n,ell", [(n, ell) for n in range(3, 8)
                                    for ell in range(2, n)])
 def test_interior_twin_methods_agree(n, ell):
-    first = fam.twin_path_interior(n, ell, "identity")
+    first = fam.family_value("twin-path-interior", n, ell, "identity")
     for method in ("gf", "epos-gf", "recurrence"):
-        assert fam.twin_path_interior(n, ell, method) == first, method
+        assert fam.family_value("twin-path-interior", n, ell, method) == first, method
 
 
 def test_interior_twin_matches_oracle():
     for n in range(3, 8):
         for ell in range(2, n):
-            assert fam.twin_path_interior(n, ell) == csf(family("twin-path-interior", n, ell))
+            graph = family("twin-path-interior", n, ell)
+            assert fam.family_value("twin-path-interior", n, ell) == csf(graph)
 
 
 def test_interior_twin_symmetry():
     # twinning position ell and position n+1-ell give isomorphic graphs
     for n in range(4, 9):
         for ell in range(2, n):
-            assert fam.twin_path_interior(n, ell) == fam.twin_path_interior(n, n + 1 - ell)
+            assert (fam.family_value("twin-path-interior", n, ell)
+                    == fam.family_value("twin-path-interior", n, n + 1 - ell))
 
 
 def test_interior_twin_rejects_leaf_positions():
     with pytest.raises(ValueError):
-        fam.twin_path_interior(5, 1)
+        fam.family_value("twin-path-interior", 5, 1)
     with pytest.raises(ValueError):
-        fam.twin_path_interior(5, 5)
+        fam.family_value("twin-path-interior", 5, 5)
 
 
 def test_f_poly_matches_its_positive_form():
@@ -343,7 +349,7 @@ def test_epos_forms_are_written_as_evaluated(monkeypatch, name):
 def test_recurrences_do_not_consult_the_identities(monkeypatch):
     # the interior recurrence seeds nothing and the both-leaves one only K_4,
     # so on cold memos neither reaches its family's identity
-    interior = {(n, ell): fam.twin_path_interior(n, ell, "identity")
+    interior = {(n, ell): fam.family_value("twin-path-interior", n, ell, "identity")
                 for n in range(3, 13) for ell in range(2, n)}
     both = {n: fam.twin_path_both(n, "identity") for n in range(2, 13)}
 
@@ -354,7 +360,7 @@ def test_recurrences_do_not_consult_the_identities(monkeypatch):
     monkeypatch.setattr(fam, "_interior_identity", refuse)
     monkeypatch.setitem(fam.FAMILIES["twin-path-both"].routes, "identity", refuse)
     for (n, ell), want in interior.items():
-        assert fam.twin_path_interior(n, ell, "recurrence") == want, (n, ell)
+        assert fam.family_value("twin-path-interior", n, ell, "recurrence") == want, (n, ell)
     for n, want in both.items():
         assert fam.twin_path_both(n, "recurrence") == want, n
 
@@ -371,11 +377,11 @@ def test_g_poly_cancellation():
 
 def test_interior_then_leaf():
     for n, ell in ((4, 2), (5, 3), (6, 2)):
-        value = fam.twin_interior_then_leaf(n, ell)
+        value = fam.family_value("twin-interior-leaf", n, ell)
         assert value == csf(family("twin-interior-leaf", n, ell))
         assert value.is_e_positive()
     with pytest.raises(ValueError):
-        fam.twin_interior_then_leaf(4, 3)
+        fam.family_value("twin-interior-leaf", 4, 3)
 
 
 # --- auxiliary families
@@ -383,25 +389,26 @@ def test_interior_then_leaf():
 
 def test_flagpole_at_end_is_path():
     for n in range(1, 8):
-        assert fam.flagpole_seq(n, 1) == fam.path_seq(n + 1)
-        assert fam.flagpole_seq(n, n) == fam.path_seq(n + 1)
+        assert fam.family_value("flagpole", n, 1) == fam.path_seq(n + 1)
+        assert fam.family_value("flagpole", n, n) == fam.path_seq(n + 1)
 
 
 def test_tadpole_identity_value():
     want = fam.cycle_seq(4) + e(1) * fam.cycle_seq(3) - fam.path_seq(4)
-    assert fam.tadpole_seq(3) == want
+    assert fam.family_value("tadpole", 3) == want
 
 
 def test_aux_families_match_oracle():
     for n in range(3, 7):
-        assert fam.dgraph_seq(n) == csf(family("dgraph", n))
-        assert fam.tadpole_seq(n) == csf(family("tadpole", n))
+        assert fam.family_value("dgraph", n) == csf(family("dgraph", n))
+        assert fam.family_value("tadpole", n) == csf(family("tadpole", n))
     for n in range(2, 7):
         for ell in range(1, n):
-            assert fam.triangle_path_seq(n, ell) == csf(family("triangle-path", n, ell))
+            graph = family("triangle-path", n, ell)
+            assert fam.family_value("triangle-path", n, ell) == csf(graph)
     for n in range(1, 7):
         for ell in range(1, n + 1):
-            assert fam.flagpole_seq(n, ell) == csf(family("flagpole", n, ell))
+            assert fam.family_value("flagpole", n, ell) == csf(family("flagpole", n, ell))
 
 
 # --- twinned cycle
@@ -450,9 +457,9 @@ def test_twin_cycle_coeff_matches_sequence():
 
 
 def test_moose_fixture_values():
-    assert fam.moose(2) == e_term((2, 2), 2) + e_term((3, 1), 2) + e(4) * 4
-    assert fam.moose(2) == fam.path_seq(4)
-    assert fam.moose(4) == (e_term((2, 2, 2), 2) + e_term((3, 2, 1), 2)
+    assert fam.family_value("moose", 2) == e_term((2, 2), 2) + e_term((3, 1), 2) + e(4) * 4
+    assert fam.family_value("moose", 2) == fam.path_seq(4)
+    assert fam.family_value("moose", 4) == (e_term((2, 2, 2), 2) + e_term((3, 2, 1), 2)
                             + e_term((4, 1, 1), 6) + e_term((4, 2), 6)
                             + e_term((5, 1), 22) + e(6) * 18)
 
@@ -465,18 +472,18 @@ def test_moose_recurrence_reproduces_stored_initial():
            + e_term((1, 1)) * e(m) * ((m - 1) * (m - 2))
            + e(2) * e(m) * 2)
     for j in range(2, m - 1):
-        acc = acc + e(j) * (j - 1) * fam.moose(m - j)
-    assert acc == fam.moose(4)
+        acc = acc + e(j) * (j - 1) * fam.family_value("moose", m - j)
+    assert acc == fam.family_value("moose", 4)
 
 
 def test_moose_matches_oracle():
     for n in range(2, 8):
-        assert fam.moose(n) == csf(family("moose", n))
+        assert fam.family_value("moose", n) == csf(family("moose", n))
 
 
 def test_moose_e_positive():
     for n in range(2, 11):
-        assert fam.moose(n).is_e_positive()
+        assert fam.family_value("moose", n).is_e_positive()
 
 
 # --- coefficient formulas for paths and cycles
@@ -524,8 +531,8 @@ def test_coeff_specials_examples():
 
 def test_family_value_dispatch():
     assert fam.family_value("twinned-cycle", 4) == fam.twin_cycle(4)
-    assert fam.family_value("twin-path-interior", 5, 2, "gf") == \
-        fam.twin_path_interior(5, 2, "gf")
+    assert fam.family_value("twin_path_interior", 5, 2, "GF") == \
+        fam.family_value("twin-path-interior", 5, 2, "gf")
     assert fam.family_value("path", 6) == fam.path_seq(6)
     with pytest.raises(ValueError):
         fam.family_value("path", 6, 2)
@@ -545,14 +552,14 @@ def test_route_functions_share_the_table_domain():
         "cycle": (lambda: fam.cycle_seq(0), 0, None),
         "twin-path-leaf": (lambda: fam.twin_path_leaf(0), 0, None),
         "twin-path-both": (lambda: fam.twin_path_both(1, "gf"), 1, None),
-        "twin-path-interior": (lambda: fam.twin_path_interior(5, 5), 5, 5),
-        "twin-interior-leaf": (lambda: fam.twin_interior_then_leaf(5, 4), 5, 4),
+        "twin-path-interior": (lambda: fam.family_value("twin-path-interior", 5, 5), 5, 5),
+        "twin-interior-leaf": (lambda: fam.family_value("twin-interior-leaf", 5, 4), 5, 4),
         "twin-cycle": (lambda: fam.twin_cycle(0), 0, None),
-        "moose": (lambda: fam.moose(1), 1, None),
-        "flagpole": (lambda: fam.flagpole_seq(3, 0), 3, 0),
-        "triangle-path": (lambda: fam.triangle_path_seq(1, 1), 1, 1),
-        "dgraph": (lambda: fam.dgraph_seq(2), 2, None),
-        "tadpole": (lambda: fam.tadpole_seq(2), 2, None),
+        "moose": (lambda: fam.family_value("moose", 1), 1, None),
+        "flagpole": (lambda: fam.family_value("flagpole", 3, 0), 3, 0),
+        "triangle-path": (lambda: fam.family_value("triangle-path", 1, 1), 1, 1),
+        "dgraph": (lambda: fam.family_value("dgraph", 2), 2, None),
+        "tadpole": (lambda: fam.family_value("tadpole", 2), 2, None),
     }
     assert set(cases) == set(fam.FAMILIES)
     for name, (route, n, ell) in cases.items():
@@ -566,7 +573,7 @@ def test_route_functions_share_the_table_domain():
         assert str(by_graph.value) == str(by_table.value), name
         assert str(by_route.value).startswith(f"family {name!r}")
     with pytest.raises(ValueError, match="has no method 'gf'"):
-        fam.moose(4, "gf")
+        fam.family_value("moose", 4, method="gf")
 
 
 def test_named_routes_are_gf_forms_of_their_entry():
