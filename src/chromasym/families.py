@@ -13,9 +13,9 @@ cross-check.
 Each family's generating functions and their scales, and the scale of its
 coefficient formula, are fields of its FAMILIES entry.
 
-The degenerate conventions X_{C_1} = 0, X_{C_2} = 2e_2, X_{C_{1,v}} = 2e_2,
-X_{C_{2,v}} = 6e_3 are pinned constants: no simple graph realizes them, but
-the recurrences and coefficient formulas depend on them.
+No simple graph realizes X_{C_1} = 0 or X_{C_2} = 2e_2, which the cycle rule
+gives, X_{C_{2,v}} = 6e_3, which the twinned-cycle identity and rule give, or
+X_{C_{1,v}} = 2e_2, the one pinned value, which no recurrence sum reads.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .symfun import SymE, _memo, _sum_of_products, e, e_term
 _recurrences: dict = _memo()
 
 
-def _recur(key, n: int, seeds: Callable[[], dict], first: int, low: int,
+def _recur(key, n: int, seeds: Callable[[], dict], first: int,
            drive: Callable[[int], SymE]) -> SymE:
-    """X_n of the recurrence X_m = drive(m) + sum_{j=2}^{m-low} (j-1) e_j X_{m-j}
+    """X_n of the recurrence X_m = drive(m) + sum_{j=2}^{m-first} (j-1) e_j X_{m-j}
     for m >= first; seeds() gives the values the rule does not give.
 
     Every recurrence of the paper has this shape: the sum comes from the
@@ -58,7 +58,7 @@ def _recur(key, n: int, seeds: Callable[[], dict], first: int, low: int,
     for m in range(first, n + 1):
         if m not in memo:
             memo[m] = drive(m) + _sum_of_products((e_term((j,), j - 1), memo[m - j])
-                                                  for j in range(2, m - low + 1))
+                                                  for j in range(2, m - first + 1))
     return memo[n]
 
 
@@ -69,20 +69,20 @@ def path_seq(n: int) -> SymE:
     except KeyError:
         pass
     FAMILIES["path"].check("path", n, None)
-    return _recur("path", n, lambda: {0: SymE.one()}, 1, 1, lambda m: e(m) * m)
+    return _recur("path", n, lambda: {0: SymE.one()}, 1, lambda m: e(m) * m)
 
 
 def cycle_seq(n: int) -> SymE:
     """X of the n-cycle: n(n-1) e_n + sum_{j=2}^{n-2} (j-1) e_j X_{C_{n-j}}.
 
-    The rule gives the pinned conventions 0 and 2e_2 at n = 1 and 2.
+    The rule gives 0 and 2e_2 at n = 1, 2; the engine's j = n-1 term is 0.
     """
     try:
         return _recurrences["cycle"][n]
     except KeyError:
         pass
     FAMILIES["cycle"].check("cycle", n, None)
-    return _recur("cycle", n, dict, 1, 2, lambda m: e(m) * (m * (m - 1)))
+    return _recur("cycle", n, dict, 1, lambda m: e(m) * (m * (m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,7 @@ def twin_path_leaf_coeff(lam) -> int:
     """Coefficient of e_lam z^{|lam|} in the leaf-twin gf sum_{n>=1} X_{n,v} z^{n+1}.
 
     The two general double sums cover everything once length-one remainders
-    are handled; the short closed forms for small shapes are consequences and
-    are asserted against this in the tests.
+    are handled; the printed short forms, cases a-h, are verify.printed_specials rows.
     """
     lam = make_partition(lam)
     if sum(lam) < 2:
@@ -249,9 +248,7 @@ def twin_path_both_coeff(lam) -> Optional[int]:
         i, j = lam
         if j == 2:
             return 4 * (i - 2) if i >= 3 else None
-        if j >= 3:
-            return 4 * (i - 1) * i if i == j else 4 * (j - 1) * i + 4 * (i - 1) * j
-        return None
+        return 4 * (i - 1) * i if i == j else 4 * (j - 1) * i + 4 * (i - 1) * j  # j >= 3
     if _is_two_threes_then_twos(lam):
         return 32
     return None
@@ -417,14 +414,14 @@ def _twin_cycle_drive(m: int) -> SymE:
 
 
 def twin_cycle(n: int, method: str = "identity") -> SymE:
-    """X of the n-cycle twinned at a vertex; n = 1, 2 are pinned conventions."""
+    """X of the n-cycle twinned at a vertex; n = 1 is the pinned convention 2e_2."""
     return family_value("twin-cycle", n, method=method)
 
 
 def twin_cycle_coeff(lam) -> int:
     """Half the e_lam coefficient of the twinned-cycle value at n = |lam| - 1.
 
-    The n = 2 convention 6e_3 is included, so (3,) gives 3.  The half gf
+    The graphless n = 2 value 6e_3 is included, so (3,) gives 3.  The half gf
     sum_{n>=3} X_{C_{n,v}} z^{n+1} / 2 starts at z^4, so this is its e_lam
     z^{|lam|} coefficient only for |lam| >= 4.  The case split is exhaustive.
     """
@@ -575,7 +572,7 @@ FAMILIES: dict[str, FamilySpec] = {
         {"identity": lambda n, ell: path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2,
          "gf": "half",
          "recurrence": lambda n, ell: _recur("twin-path-leaf", n, lambda: {1: e(2) * 2},
-                                             2, 2, _leaf_twin_drive)},
+                                             2, _leaf_twin_drive)},
         min_n=1, extra=1,
         gfs={"half": (2, lambda N, ell: leaf_twin_gf_half(N)),
              "half-alt": (2, lambda N, ell: leaf_twin_gf_half_alt(N)),
@@ -591,7 +588,7 @@ FAMILIES: dict[str, FamilySpec] = {
             + e_term((2, 2)) * path_seq(n - 2)) * 4,
          "gf": "quarter",
          "recurrence": lambda n, ell: _recur("twin-path-both", n, lambda: {2: e(4) * 24},
-                                             3, 3, _both_leaves_drive)},
+                                             3, _both_leaves_drive)},
         min_n=2, extra=2,
         gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
              "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N)),
@@ -605,8 +602,7 @@ FAMILIES: dict[str, FamilySpec] = {
          "gf": "full",
          "epos-gf": "epos-half",
          "recurrence": lambda n, ell: _recur(("twin-path-interior", ell), n, dict,
-                                             ell + 1, ell + 1,
-                                             lambda m: _interior_drive(m, ell))},
+                                             ell + 1, lambda m: _interior_drive(m, ell))},
         min_n=3, extra=1, ells=lambda n: range(2, n),
         gfs={"epos-half": (2, lambda N, ell: interior_gf_epos_half(ell, N)),
              "full": (1, lambda N, ell: interior_gf(ell, N))}, gf_from=3,
@@ -619,15 +615,15 @@ FAMILIES: dict[str, FamilySpec] = {
             - e(2) * family_value("twin-path-interior", n - 1, ell)) * 2},
         min_n=4, extra=2, ells=lambda n: range(2, n - 1), e_positive=True),
     # the clone n of 0; the gf starts at n = 3 and the coefficient formula at
-    # the n = 2 convention
+    # n = 2, which has no graph
     "twin-cycle": FamilySpec(
         lambda n, ell: twin(cycle(n), 0),
-        {"identity": lambda n, ell: {1: e(2) * 2, 2: e(3) * 6}[n] if n <= 2 else (
+        {"identity": lambda n, ell: e(2) * 2 if n == 1 else (
             cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
             - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2),
          "gf": "half",
          "recurrence": lambda n, ell: _recur("twin-cycle", n, lambda: {1: e(2) * 2},
-                                             2, 2, _twin_cycle_drive)},
+                                             2, _twin_cycle_drive)},
         min_n=1, extra=1, pinned_below=3,
         gfs={"half": (2, lambda N, ell: twin_cycle_gf_half(N)),
              "half-rewrite": (2, lambda N, ell: twin_cycle_gf_half_rewrite(N)),
@@ -639,7 +635,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "moose": FamilySpec(
         lambda n, ell: Graph(n + 2, [*(cycle(n) if n > 2 else path(2)).edges,
                                      (0, n), (1, n + 1)]),
-        {"recurrence": lambda n, ell: _recur("moose", n, dict, 2, 2, _moose_drive)},
+        {"recurrence": lambda n, ell: _recur("moose", n, dict, 2, _moose_drive)},
         min_n=2, extra=2, e_positive=True),
     # the pendant n at spine position ell
     "flagpole": FamilySpec(

@@ -196,7 +196,8 @@ def cycle_gf(trunc: int) -> Series:
 # E_geq(k) = sum_{i>=k} e_i z^i and G_leq(k) = sum_{2<=i<=k} (i-1) e_i z^i.
 _K_INDEXED = {"E_geq": ("E", "lo"), "K_geq": ("K", "lo"), "G_geq": ("G", "lo"),
               "G_leq": ("G", "hi")}
-_GFS = {"path-gf": path_gf, "cycle-gf": cycle_gf}
+# looked up when called, so a wrapper installed on the module sees these builds
+_GFS = {"path-gf": "path_gf", "cycle-gf": "cycle_gf"}
 SERIES_NAMES = (*WEIGHTED, *_K_INDEXED, *_GFS)
 _deepest: dict[tuple, Series] = _memo()
 
@@ -223,7 +224,7 @@ def named_series(name: str, trunc: int, k: Optional[int] = None) -> Series:
     if key not in _K_INDEXED:
         if k is not None:
             raise ValueError(f"series {name!r} takes no k")
-        return deepest(_GFS[key], trunc) if key in _GFS else weighted(key, trunc)
+        return deepest(globals()[_GFS[key]], trunc) if key in _GFS else weighted(key, trunc)
     if k is None:
         raise ValueError(f"series {name!r} needs --k")
     if k < 2:

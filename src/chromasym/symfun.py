@@ -11,7 +11,7 @@ of a multiset union is the sum of the keys, so a product adds keys and never
 sorts.  A part may repeat at most 63 times; a value, product or e_term that
 would repeat one 64 or more times raises OverflowError.  Keys are decoded
 back to partitions at the edges (items, coefficient, rendering), so the
-public API and every rendering work on partitions as before.
+public API and every rendering work on partitions.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import cache
 from math import comb
 
 from . import families as fam
@@ -35,7 +36,7 @@ EPSILON_TABLE = {
 EPSILON_UNION_MAX = 10  # these bounds do not scale with --max-n or --max-deg
 RING_LAW_ROUNDS = 40
 NEWTON_MAX_N = 8
-SPECIALS_MAX = 10  # largest n, and largest k*r, of the coefficient specials
+SPECIALS_MAX = 10  # the printed specials run to size max(--max-n, SPECIALS_MAX)
 
 
 @dataclass
@@ -347,33 +348,41 @@ def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
     return col.results
 
 
-def coeff_specials_check() -> list[CaseResult]:
-    """Verify the table of special coefficients on computed sequences.
-
-    One check each for [e_n] X_{P_n} = n, [e_{n-1}e_1] X_{P_n} = n-2,
-    [e_n] X_{C_n} = n(n-1) for n >= 2; [e_{n-2}e_2] X_{P_n} = 3n-8 and
-    [e_{n-2}e_2] X_{C_n} = n(n-3) for n >= 5; [e_k^r] X_{P_{kr}} =
-    k(k-1)^{r-1} and [e_{k^r}] X_{C_{kr}} = k(k-1)^r; [e_2^2] X_{C_4} = 2.
-    """
-    col = Collector("families")
-    with col.group("coefficient-specials") as g:
-        path, cycle = fam.path_seq, fam.cycle_seq
-        for n in range(2, SPECIALS_MAX + 1):
-            g.check(f"[e_{n}] path({n})", path(n).coefficient((n,)), n)
-            g.check(f"[e_{n-1}e_1] path({n})", path(n).coefficient((n - 1, 1)), n - 2)
-            g.check(f"[e_{n}] cycle({n})", cycle(n).coefficient((n,)), n * (n - 1))
-        for n in range(5, SPECIALS_MAX + 1):
-            g.check(f"[e_{n-2}e_2] path({n})", path(n).coefficient((n - 2, 2)), 3 * n - 8)
-            g.check(f"[e_{n-2}e_2] cycle({n})", cycle(n).coefficient((n - 2, 2)), n * (n - 3))
-        for k in range(2, SPECIALS_MAX + 1):
-            for r in range(1, SPECIALS_MAX // k + 1):
-                lam = (k,) * r
-                g.check(f"[e_({k}^{r})] path({k * r})",
-                        path(k * r).coefficient(lam), k * (k - 1) ** (r - 1))
-                g.check(f"[e_({k}^{r})] cycle({k * r})",
-                        cycle(k * r).coefficient(lam), k * (k - 1) ** r)
-        g.check("[e_2^2] cycle(4)", cycle(4).coefficient((2, 2)), 2)
-    return col.results
+def printed_specials(max_size: int):
+    """Yield (family, shape, lam, value), once each, for the special e_lam
+    coefficients the paper prints for paths, cycles and the leaf twin (its
+    cases a-h), |lam| <= max_size, at the member n = |lam| - extra."""
+    leaf = "twin-path-leaf"
+    for n in range(2, max_size + 1):
+        yield "path", "e_n", (n,), n
+        yield "path", "e_(n-1)e_1", (n - 1, 1), n - 2
+        yield "cycle", "e_n", (n,), n * (n - 1)
+        yield leaf, "case-a", (n,), 2 * n if n >= 3 else 2
+        if n >= 4:
+            yield leaf, "case-b", (n - 1, 1), 2 * (n - 2)
+        if n >= 5:
+            yield "path", "e_(n-2)e_2", (n - 2, 2), 3 * n - 8
+            yield "cycle", "e_(n-2)e_2", (n - 2, 2), n * (n - 3)
+            yield leaf, "case-c", (n - 2, 2), 4 * (n - 3)
+        for j in range(3, (n + 1) // 2):  # i = n - j > j
+            yield leaf, "case-d", (n - j, j), 2 * (2 * (n - j) * j - n)
+    for k in range(2, max_size // 2 + 1):
+        for r in range(2, max_size // k + 1):  # r = 1 is e_n
+            yield "path", "e_(k^r)", (k,) * r, k * (k - 1) ** (r - 1)
+            yield "cycle", "e_(k^r)", (k,) * r, k * (k - 1) ** r
+        if k >= 3:
+            yield leaf, "case-e", (k, k), 2 * k * (k - 1)
+    for k in range(1, max_size // 2 + 1):  # shapes with k parts equal to 2
+        if 2 * k < max_size:
+            yield leaf, "case-g-zero", (2,) * k + (1,), 0
+            if k >= 2:  # k = 1 is e_(n-1)e_1
+                yield "path", "e_(2^k)e_1", (2,) * k + (1,), 1
+        if k >= 2:
+            yield leaf, "case-h-zero", (2,) * k, 0
+            if 2 * k + 3 <= max_size:
+                yield leaf, "case-f", (3,) + (2,) * k, 8
+            if 2 * k + 4 <= max_size:
+                yield leaf, "case-f1", (3,) + (2,) * k + (1,), 4
 
 
 def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
@@ -403,46 +412,18 @@ def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
                             sum((a - 1) * epsilon_minus(mu, a)
                                 for a in support(mu) if a >= 2),
                             want)
-        for n in range(2, max_size + 1):
-            g.check(f"path-special-(n):{n}",
-                    fam.path_cycle_coeff("path", (n,)), n)
-            g.check(f"path-special-(n-1,1):{n}",
-                    fam.path_cycle_coeff("path", (n - 1, 1)), n - 2)
-        for k in range(1, max_size // 2 + 1):
-            g.check(f"path-special-2^{k}",
-                    fam.path_cycle_coeff("path", (2,) * k), 2)
-            if 2 * k + 1 <= max_size:
-                g.check(f"path-special-2^{k}-1",
-                        fam.path_cycle_coeff("path", (2,) * k + (1,)), 1)
 
-    # printed short forms as consequences of the general sums
-    with col.group("leaf-twin-short-forms") as g:
-        for k in range(3, max_size + 1):
-            g.check(f"case-a:{k}", fam.twin_path_leaf_coeff((k,)), 2 * k)
-        g.check("case-a:2", fam.twin_path_leaf_coeff((2,)), 2)
-        for k in range(4, max_size + 1):
-            g.check(f"case-b:{k}", fam.twin_path_leaf_coeff((k - 1, 1)), 2 * (k - 2))
-        for k in range(5, max_size + 1):
-            g.check(f"case-c:{k}", fam.twin_path_leaf_coeff((k - 2, 2)), 4 * (k - 3))
-        for i in range(3, max_size + 1):
-            for j in range(3, i):
-                if i + j <= max_size:
-                    g.check(f"case-d:{i},{j}", fam.twin_path_leaf_coeff((i, j)),
-                            2 * (2 * i * j - i - j))
-            if 2 * i <= max_size:
-                g.check(f"case-e:{i}", fam.twin_path_leaf_coeff((i, i)),
-                        2 * i * (i - 1))
-        for k in range(2, (max_size - 3) // 2 + 1):
-            g.check(f"case-f:{k}", fam.twin_path_leaf_coeff((3,) + (2,) * k), 8)
-            if 3 + 2 * k + 1 <= max_size:
-                g.check(f"case-f1:{k}",
-                        fam.twin_path_leaf_coeff((3,) + (2,) * k + (1,)), 4)
-        for k in range(1, (max_size - 1) // 2 + 1):
-            g.check(f"case-g-zero:{k}",
-                    fam.twin_path_leaf_coeff((2,) * k + (1,)), 0)
-        for k in range(2, max_size // 2 + 1):
-            g.check(f"case-h-zero:{k}", fam.twin_path_leaf_coeff((2,) * k), 0)
-    return col.results + coeff_specials_check()
+    # each printed special on the family's coefficient formula and on its value
+    value = cache(fam.family_value)
+    with col.group("coefficient-specials") as specials, \
+            col.group("leaf-twin-short-forms") as leaf:
+        for name, shape, lam, want in printed_specials(max(max_size, SPECIALS_MAX)):
+            spec = fam.FAMILIES[name]
+            g = leaf if name == "twin-path-leaf" else specials
+            label = f"{name}:{shape}:{lam}"
+            g.check(f"{label}:formula", spec.coeff_scale * spec.coeff(lam), want)
+            g.check(f"{label}:value", value(name, sum(lam) - spec.extra).coefficient(lam), want)
+    return col.results
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ def test_csf_coloring_check(capsys):
                            "--check-colorings", "3")
     assert code == 0
     assert out.strip() == "ok"
+    code, out, _ = run_cli(capsys, "csf", "--graph", "cycle:4",
+                           "--check-colorings", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"graph": "cycle:4", "k": 3, "colorings_match": True}
 
 
 def test_csf_negative_palette_is_usage_error(capsys):
@@ -146,8 +150,9 @@ def test_series_gf_is_cut_from_the_deepest_build(monkeypatch, capsys, name):
         cold[ask] = run_cli(capsys, "series", "--name", name, *ask)
         assert cold[ask][0] == 0
 
-    builds, build = [], powerseries._GFS[name]
-    monkeypatch.setitem(powerseries._GFS, name,
+    builder = name.replace("-", "_")
+    builds, build = [], getattr(powerseries, builder)
+    monkeypatch.setattr(powerseries, builder,
                         lambda trunc: builds.append(trunc) or build(trunc))
     chromasym.clear_caches()
     assert run_cli(capsys, "series", "--name", name, "--N", "20")[0] == 0
@@ -192,6 +197,14 @@ def test_family_all_methods_in_any_spelling(capsys):
         got = run_cli(capsys, "family", "--name", "twin-cycle", "--n", "4",
                       "--method", spelling)
         assert got == want, spelling
+
+
+def test_family_all_methods_reports_a_disagreement(monkeypatch, capsys):
+    monkeypatch.setitem(FAMILIES["twin-cycle"].routes, "gf", lambda n, ell: e(n + 1))
+    code, out, err = run_cli(capsys, "family", "--name", "twin-cycle", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "method disagreement: ['gf']\n"
 
 
 def test_family_single_method_json(capsys):
@@ -558,13 +571,19 @@ def test_python_dash_m_runs_the_cli():
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from chromasym.verify import CaseResult
 
-    def fake_run(names, **kwargs):
-        return [CaseResult("partitions", "synthetic", "fail", "1", "2")]
-
-    monkeypatch.setattr("chromasym.cli.verify.run_suites", fake_run)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "partitions")
-    assert code == 1
-    assert "FAIL" in out and "synthetic" in out
+    for failures in (1, 25):
+        monkeypatch.setattr("chromasym.cli.verify.run_suites", lambda names, **kwargs: [
+            CaseResult("partitions", f"synthetic-{i:02}", "fail", "1", "2")
+            for i in range(failures)])
+        code, out, _ = run_cli(capsys, "verify", "--suite", "partitions")
+        assert code == 1
+        lines = out.splitlines()
+        # the first 20 failures are detailed, the rest counted
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL  partitions/synthetic-{i:02}: expected 1, got 2"
+            for i in range(min(failures, 20))]
+        more = [f"... and {failures - 20} more failures"] if failures > 20 else []
+        assert lines[-1 - len(more):] == more + [f"0 groups passed, {failures} failed"]
 
 
 def test_usage_error_exit_code():

@@ -505,19 +505,31 @@ def test_path_cycle_coeff_full_sweep():
             assert fam.path_cycle_coeff("cycle", lam) == cval.coefficient(lam)
 
 
+_SPECIALS_GROUPS = ("coefficient-specials", "leaf-twin-short-forms")
+
+
 def test_coeff_specials_clean():
-    results = verify.coeff_specials_check()
-    assert [(r.case, r.status, r.expected) for r in results] == [
-        ("coefficient-specials", "pass", "74 checks")]
+    # each of the 58 path and cycle rows and the 43 leaf-twin rows is checked
+    # on the coefficient formula and on the value
+    results = verify.coefficient_sweeps_check()
+    assert sorted((r.case, r.status, r.expected) for r in results
+                  if r.case in _SPECIALS_GROUPS) == [
+        ("coefficient-specials", "pass", "116 checks"),
+        ("leaf-twin-short-forms", "pass", "86 checks")]
+    for max_size in (3, 10, 14):
+        rows = [(name, lam) for name, _, lam, _ in verify.printed_specials(max_size)]
+        assert len(rows) == len(set(rows))  # each claim once
+        assert max(sum(lam) for _, lam in rows) == max_size
 
 
 def test_coeff_specials_catch_a_wrong_special(monkeypatch):
     right = fam.cycle_seq
     monkeypatch.setattr(fam, "cycle_seq",
                         lambda n: right(n) + e_term((2, 2)) if n == 4 else right(n))
-    failed = {r.case: (r.expected, r.actual) for r in verify.coeff_specials_check()}
-    assert failed == {"coefficient-specials:[e_2^2] cycle(4)": ("2", "3"),
-                      "coefficient-specials:[e_(2^2)] cycle(4)": ("2", "3")}
+    results = {r.case: (r.expected, r.actual) for r in verify.coefficient_sweeps_check()
+               if r.case.split(":")[0] in _SPECIALS_GROUPS}
+    assert results == {"coefficient-specials:cycle:e_(k^r):(2, 2):value": ("2", "3"),
+                       "leaf-twin-short-forms": ("86 checks", "86 checks")}
 
 
 def test_coeff_specials_examples():
