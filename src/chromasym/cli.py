@@ -92,9 +92,9 @@ def _cmd_family(args) -> int:
 
 def _cmd_coeff(args) -> int:
     lam = parse_partition(args.lam)
-    extra = families.family_spec(args.family).extra
-    if sum(lam) - extra > MAX_DEPTH:
-        raise ValueError(f"--lambda must be of size at most {MAX_DEPTH + extra} "
+    spec = families.family_spec(args.family)
+    if spec.coeffs and sum(lam) - spec.extra > MAX_DEPTH:  # else coeff_value says no formulas
+        raise ValueError(f"--lambda must be of size at most {MAX_DEPTH + spec.extra} "
                          f"(n <= {MAX_DEPTH}), got {sum(lam)}")
     value = families.coeff_value(args.family, lam)
     if args.json:
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff = sub.add_parser("coeff", formatter_class=_HelpFormatter,
                              help="closed-form e-coefficient for a family")
     p_coeff.add_argument("--family", required=True,
-                         help=", ".join(k for k, s in families.FAMILIES.items() if s.coeff))
+                         help=", ".join(k for k, s in families.FAMILIES.items() if s.coeffs))
     p_coeff.add_argument("--lambda", dest="lam", required=True,
                          help='partition, e.g. "5,2"; "0" is the empty partition')
     p_coeff.add_argument("--json", action="store_true")

@@ -10,8 +10,8 @@ verify's member sweep, up to 14 vertices in the deep run.  None of the routes
 consults the brute-force oracle in csf, so oracle agreement is a genuine
 cross-check.
 
-Each family's generating functions and their scales, and the scale of its
-coefficient formula, are fields of its FAMILIES entry.
+Each family's generating functions and coefficient formulas, each a named
+form with its scale, are fields of its FAMILIES entry.
 
 No simple graph realizes X_{C_1} = 0 or X_{C_2} = 2e_2, which the cycle rule
 gives, X_{C_{2,v}} = 6e_3, which the twinned-cycle identity and rule give, or
@@ -313,8 +313,7 @@ def interior_gf(ell: int, trunc: int) -> Series:
 
 def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     """Term-by-term e-positive half gf for the interior twin:
-    sum_{i=3}^{ell} (i-1) e_i z^i sum_{j=ell-i+2}^{ell-2} X_{P_j} z^j
-    + ell e_{ell+1} z^{ell+1} sum_{j=1}^{ell-2} X_{P_j} z^j
+    sum_{i=3}^{ell+1} (i-1) e_i z^i sum_{j=ell-i+2}^{ell-2} X_{P_j} z^j
     + E_{>=ell+2} (1 + sum_{j=0}^{ell-2} X_{P_j} z^j)
     + (w T + E cofactor)/D,
     with w = sum_{i=2}^{ell+1} (i-2) e_i z^i, the cofactor
@@ -329,13 +328,10 @@ def interior_gf_epos_half(ell: int, trunc: int) -> Series:
     if ell < 2:
         raise ValueError("interior twin needs ell >= 2")
     path_head = _path_terms(range(0, ell - 1), trunc)
-    acc = Series.monomial(e(ell + 1) * ell, ell + 1, trunc) * _path_terms(range(1, ell - 1), trunc)
-    for i in range(3, ell + 1):
+    acc = ps.weighted("E", trunc, lo=ell + 2) * (Series.one(trunc) + path_head)
+    for i in range(3, ell + 2):
         stair = _path_terms(range(ell - i + 2, ell - 1), trunc)
         acc = acc + Series.monomial(e(i) * (i - 1), i, trunc) * stair
-
-    acc = acc + ps.weighted("E", trunc, lo=ell + 2)
-    acc = acc + ps.weighted("E", trunc, lo=ell + 2) * path_head
     w = ps.e_weighted(trunc, 2, (-2, 1), hi=ell + 1)
     cofactor = ps.weighted("G", trunc, lo=ell + 2) * 2
     for i in range(1, ell - 1):
@@ -475,9 +471,11 @@ def _moose_drive(m: int) -> SymE:
 # coefficient formulas for paths and cycles
 
 
-def path_cycle_coeff(which: str, lam) -> int:
+def path_cycle_coeff(which: str, lam) -> Optional[int]:
     """e_lam coefficient of the path or cycle value of size |lam|:
-    sum_a a eps(lam - a) for paths, sum_a a(a-1) eps(lam - a) for cycles."""
+    sum_a a eps(lam - a) for paths, sum_a a(a-1) eps(lam - a) for cycles; the
+    path's path-alt form eps(lam) + sum_a eps(lam - a) and, for lam = mu + (1)
+    with mu nonempty, its path-one-join form sum_{a>=2} (a-1) eps(mu - a)."""
     lam = make_partition(lam)
     if sum(lam) < 1:
         raise ValueError("coefficient formulas need |lam| >= 1")
@@ -485,6 +483,11 @@ def path_cycle_coeff(which: str, lam) -> int:
         return sum(a * epsilon_minus(lam, a) for a in support(lam))
     if which == "cycle":
         return sum(a * (a - 1) * epsilon_minus(lam, a) for a in support(lam))
+    if which == "path-alt":
+        return epsilon(lam) + sum(epsilon_minus(lam, a) for a in support(lam))
+    if which == "path-one-join":
+        mu = remove_part(lam, 1) if 1 in lam else ()
+        return sum((a - 1) * epsilon_minus(mu, a) for a in support(mu) if a >= 2) if mu else None
     raise ValueError(f"unknown family {which!r}")
 
 
@@ -514,10 +517,11 @@ class FamilySpec:
     z^(n+extra).  A route may instead name a gfs form: family_value then
     extracts that coefficient from f(n + extra, ell), cut from the deepest
     build of f at that ell so far, and below gf_from it gives the default
-    route's value.  coeff(lam) is the printed coefficient
-    formula: for n >= coeff_from, coeff_scale * coeff(lam) is the e_lam
-    coefficient of the value at n = |lam| - extra, and None means no printed
-    form.  e_positive marks the families the paper claims e-positive.
+    route's value.  coeffs maps each name of a coefficient formula, the
+    printed one first, to (scale, f(lam)): for n >= coeff_from, scale * f(lam)
+    is the e_lam coefficient of the value at n = |lam| - extra, and None means
+    the form does not cover lam.  e_positive marks the families the paper
+    claims e-positive.
     """
 
     graph: Callable[[int, Optional[int]], Graph]
@@ -529,9 +533,9 @@ class FamilySpec:
     gfs: dict[str, tuple[int, Callable[[int, Optional[int]], Series]]] = field(
         default_factory=dict)
     gf_from: int = 0
-    coeff: Optional[Callable[[Partition], Optional[int]]] = None
+    coeffs: dict[str, tuple[int, Callable[[Partition], Optional[int]]]] = field(
+        default_factory=dict)
     coeff_from: int = 0
-    coeff_scale: int = 1
     e_positive: bool = False
 
     def check(self, name: str, n: int, ell: Optional[int]) -> None:
@@ -558,14 +562,18 @@ FAMILIES: dict[str, FamilySpec] = {
         {"recurrence": lambda n, ell: path_seq(n),
          "gf": "full"},
         min_n=0, extra=0, gfs={"full": (1, lambda N, ell: ps.path_gf(N))},
-        coeff=lambda lam: path_cycle_coeff("path", lam), coeff_from=1, e_positive=True),
+        coeffs={"printed": (1, lambda lam: path_cycle_coeff("path", lam)),
+                "alt": (1, lambda lam: path_cycle_coeff("path-alt", lam)),
+                "one-join": (1, lambda lam: path_cycle_coeff("path-one-join", lam))},
+        coeff_from=1, e_positive=True),
     "cycle": FamilySpec(
         lambda n, ell: cycle(n),
         {"recurrence": lambda n, ell: cycle_seq(n),
          "gf": "full"},
         min_n=1, extra=0, pinned_below=3,
         gfs={"full": (1, lambda N, ell: ps.cycle_gf(N))}, gf_from=1,
-        coeff=lambda lam: path_cycle_coeff("cycle", lam), coeff_from=1, e_positive=True),
+        coeffs={"printed": (1, lambda lam: path_cycle_coeff("cycle", lam))}, coeff_from=1,
+        e_positive=True),
     # the clone n of the leaf n-1 (of the only vertex when n = 1)
     "twin-path-leaf": FamilySpec(
         lambda n, ell: twin(path(n), n - 1),
@@ -577,7 +585,8 @@ FAMILIES: dict[str, FamilySpec] = {
         gfs={"half": (2, lambda N, ell: leaf_twin_gf_half(N)),
              "half-alt": (2, lambda N, ell: leaf_twin_gf_half_alt(N)),
              "full": (1, lambda N, ell: leaf_twin_gf(N))}, gf_from=1,
-        coeff=lambda lam: twin_path_leaf_coeff(lam), coeff_from=1, e_positive=True),
+        coeffs={"printed": (1, lambda lam: twin_path_leaf_coeff(lam))}, coeff_from=1,
+        e_positive=True),
     # the clone n of 0, then the clone n+1 of n-1; the identity and the gf
     # start at n = 3, so the identity and the recurrence pin n = 2 (K_4), the
     # gf route falls back to it, and the coefficient formula holds at n = 2 too
@@ -594,7 +603,8 @@ FAMILIES: dict[str, FamilySpec] = {
              "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N)),
              "from-leaf": (1, lambda N, ell: (Series.one(N) - Series.monomial(e(2), 2, N))
                            * leaf_twin_gf(N) * 2 + alpha_poly(N) * 2)}, gf_from=3,
-        coeff=lambda lam: twin_path_both_coeff(lam), coeff_from=2, e_positive=True),
+        coeffs={"printed": (1, lambda lam: twin_path_both_coeff(lam))}, coeff_from=2,
+        e_positive=True),
     # the clone n of spine position ell
     "twin-path-interior": FamilySpec(
         lambda n, ell: twin(path(n), ell - 1),
@@ -628,7 +638,7 @@ FAMILIES: dict[str, FamilySpec] = {
         gfs={"half": (2, lambda N, ell: twin_cycle_gf_half(N)),
              "half-rewrite": (2, lambda N, ell: twin_cycle_gf_half_rewrite(N)),
              "full": (1, lambda N, ell: twin_cycle_gf(N))}, gf_from=3,
-        coeff=lambda lam: twin_cycle_coeff(lam), coeff_from=2, coeff_scale=2,
+        coeffs={"printed": (2, lambda lam: twin_cycle_coeff(lam))}, coeff_from=2,
         e_positive=True),
     # leaf n hangs from 0 and leaf n+1 from 1; at n = 2 the cycle degenerates
     # to the edge 0-1 and the graph is the 4-path
@@ -705,12 +715,13 @@ def family_value(name: str, n: int, ell: Optional[int] = None,
 
 
 def coeff_value(name: str, lam) -> Optional[int]:
-    """Coefficient dispatcher for the CLI; None means no printed closed form."""
+    """Coefficient dispatcher for the CLI: the first coeffs form, unscaled;
+    None means no printed closed form."""
     spec = family_spec(name)
-    if spec.coeff is None:
+    if not spec.coeffs:
         raise ValueError(f"no coefficient formulas for family {name!r}")
     lam = make_partition(lam)
     if sum(lam) - spec.extra < spec.coeff_from:
         raise ValueError(f"family {name!r} has coefficient formulas for "
                          f"|lambda| >= {spec.coeff_from + spec.extra}, got {sum(lam)}")
-    return spec.coeff(lam)
+    return next(iter(spec.coeffs.values()))[1](lam)

@@ -19,8 +19,7 @@ from . import powerseries as ps
 from .csf import (COUNT_MAX_K, COUNT_MAX_VERTICES, DEFAULT_MAX_VERTICES,
                   chromatic_count_check, csf, leaf_twin_reduction_check,
                   near_triangle_check, triple_deletion_check)
-from .partitions import (epsilon, epsilon_minus, multiplicities, partitions_of,
-                         remove_part, support, union)
+from .partitions import epsilon, epsilon_minus, multiplicities, partitions_of, support, union
 from .powerseries import MAX_DEPTH, Series
 from .symfun import SymE, e, e_term
 
@@ -323,7 +322,7 @@ def family_instances(max_vertices: int = 9):
     """Yield (name, n, ell, label, graph-or-None) for every family member whose
     graph has at most max_vertices vertices (plus graphless conventions)."""
     for name, spec in fam.FAMILIES.items():
-        for n in range(spec.min_n, max_vertices - spec.extra + 1):
+        for n in range(max_vertices - spec.extra, spec.min_n - 1, -1):  # deepest first
             for ell in spec.ells(n) if spec.ells else (None,):
                 label = f"{name}:n={n}" if ell is None else f"{name}:n={n},ell={ell}"
                 graph = graphs.family(name, n, ell) if n >= spec.pinned_below else None
@@ -386,43 +385,29 @@ def printed_specials(max_size: int):
 
 
 def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
+    """One group per family with coefficient formulas, up to size top =
+    max(max_size, SPECIALS_MAX): every form against the value's e_lam
+    coefficients, and each printed special on the first form and on the value."""
     col = Collector("families")
-    with col.group("coefficient-formulas") as g:
-        for name, spec in fam.FAMILIES.items():
-            if spec.coeff is None:
-                continue
-            for n in range(spec.coeff_from, max_size - spec.extra + 1):
-                value = fam.family_value(name, n)
-                for lam in partitions_of(n + spec.extra):
-                    got = spec.coeff(lam)
-                    if got is not None:
-                        g.check(f"{name}:{lam}", spec.coeff_scale * got, value.coefficient(lam))
-
-    with col.group("path-short-forms") as g:
-        for n in range(1, max_size + 1):
-            value = fam.path_seq(n)
-            for lam in partitions_of(n):
-                want = value.coefficient(lam)
-                g.check(f"path-alt:{lam}",
-                        epsilon(lam) + sum(epsilon_minus(lam, a) for a in support(lam)),
-                        want)
-                if 1 in lam and len(lam) >= 2:
-                    mu = remove_part(lam, 1)
-                    g.check(f"path-one-join:{lam}",
-                            sum((a - 1) * epsilon_minus(mu, a)
-                                for a in support(mu) if a >= 2),
-                            want)
-
-    # each printed special on the family's coefficient formula and on its value
+    top = max(max_size, SPECIALS_MAX)
+    rows = list(printed_specials(top))
     value = cache(fam.family_value)
-    with col.group("coefficient-specials") as specials, \
-            col.group("leaf-twin-short-forms") as leaf:
-        for name, shape, lam, want in printed_specials(max(max_size, SPECIALS_MAX)):
-            spec = fam.FAMILIES[name]
-            g = leaf if name == "twin-path-leaf" else specials
-            label = f"{name}:{shape}:{lam}"
-            g.check(f"{label}:formula", spec.coeff_scale * spec.coeff(lam), want)
-            g.check(f"{label}:value", value(name, sum(lam) - spec.extra).coefficient(lam), want)
+    for name, spec in fam.FAMILIES.items():
+        if not spec.coeffs:
+            continue
+        with col.group(f"{name}-coefficients") as g:
+            for n in range(spec.coeff_from, top - spec.extra + 1):
+                member = value(name, n)
+                for lam in partitions_of(n + spec.extra):
+                    for form, (scale, coeff) in spec.coeffs.items():
+                        got = coeff(lam)
+                        if got is not None:
+                            g.check(f"{form}:{lam}", scale * got, member.coefficient(lam))
+            scale, printed = next(iter(spec.coeffs.values()))
+            for _, shape, lam, want in (row for row in rows if row[0] == name):
+                g.check(f"{shape}:{lam}:formula", scale * printed(lam), want)
+                g.check(f"{shape}:{lam}:value",
+                        value(name, sum(lam) - spec.extra).coefficient(lam), want)
     return col.results
 
 

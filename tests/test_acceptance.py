@@ -49,7 +49,7 @@ def test_criterion_4_generating_function_identities():
 
 
 def test_criterion_5_coefficient_formulas():
-    _run("criterion 5 (coefficient formulas, partitions up to size 9)",
+    _run("criterion 5 (coefficient formulas, partitions up to size 10)",
          [lambda: verify.coefficient_sweeps_check(max_size=9)],
          limit=30.0)
 

@@ -226,7 +226,7 @@ def test_family_help_lists_every_family(monkeypatch, capsys):
     from chromasym.families import FAMILIES
 
     listed = {"family": [*FAMILIES, *(m for spec in FAMILIES.values() for m in spec.routes)],
-              "coeff": [name for name, spec in FAMILIES.items() if spec.coeff],
+              "coeff": [name for name, spec in FAMILIES.items() if spec.coeffs],
               "series": list(SERIES_NAMES)}
     for columns in ("80", "40"):
         monkeypatch.setenv("COLUMNS", columns)
@@ -256,9 +256,14 @@ def test_coeff_not_covered(capsys):
 
 def test_coeff_outside_the_family_domain_is_usage_error(capsys):
     # the smallest partition size of each family's domain is accepted and the
-    # size below it refused; "0" is the empty partition
+    # size below it refused; "0" is the empty partition.  A family without
+    # formulas is named as one before any size is read, even past the depth cap
     for name, spec in FAMILIES.items():
-        if spec.coeff is None:
+        if not spec.coeffs:
+            code, out, err = run_cli(capsys, "coeff", "--family", name,
+                                     "--lambda", str(cli.MAX_DEPTH + 4))
+            assert (code, out) == (2, ""), name
+            assert err == f"error: no coefficient formulas for family {name!r}\n"
             continue
         least = spec.coeff_from + spec.extra
         code, out, _ = run_cli(capsys, "coeff", "--family", name, "--lambda", str(least))
@@ -432,10 +437,21 @@ def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch
     assert _failed_groups(verify.series_identities_check(8)) == {"twin-path-leaf-gf"}
     monkeypatch.undo()
 
-    # the twinned cycle's coefficient formula read at scale 1, not 2
+    # the twinned cycle's printed coefficient formula declared at scale 1, not 2
     cyc = FAMILIES["twin-cycle"]
-    monkeypatch.setitem(FAMILIES, "twin-cycle", dataclasses.replace(cyc, coeff_scale=1))
-    assert _failed_groups(verify.coefficient_sweeps_check(7)) == {"coefficient-formulas"}
+    wrong = dict(cyc.coeffs, printed=(1, families.twin_cycle_coeff))
+    monkeypatch.setitem(FAMILIES, "twin-cycle", dataclasses.replace(cyc, coeffs=wrong))
+    assert _failed_groups(verify.coefficient_sweeps_check(7)) == {"twin-cycle-coefficients"}
+    monkeypatch.undo()
+
+    # a form added to the path's entry, its alt form off by one at (3, 2):
+    # caught at that partition only, with no edit to verify
+    path = FAMILIES["path"]
+    alt = path.coeffs["alt"][1]
+    wrong = dict(path.coeffs, off=(1, lambda lam: alt(lam) + (lam == (3, 2))))
+    monkeypatch.setitem(FAMILIES, "path", dataclasses.replace(path, coeffs=wrong))
+    assert [r.case for r in verify.coefficient_sweeps_check(7)
+            if r.status != "pass"] == ["path-coefficients:off:(3, 2)"]
 
 
 def test_verify_checks_gf_forms_below_their_first_member(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -505,17 +506,20 @@ def test_path_cycle_coeff_full_sweep():
             assert fam.path_cycle_coeff("cycle", lam) == cval.coefficient(lam)
 
 
-_SPECIALS_GROUPS = ("coefficient-specials", "leaf-twin-short-forms")
+_COEFF_GROUPS = {"path-coefficients": 442, "cycle-coefficients": 184,
+                 "twin-path-leaf-coefficients": 223, "twin-path-both-coefficients": 107,
+                 "twin-cycle-coefficients": 135}
 
 
 def test_coeff_specials_clean():
-    # each of the 58 path and cycle rows and the 43 leaf-twin rows is checked
-    # on the coefficient formula and on the value
+    # one group per family with formulas; each of the 58 path and cycle rows
+    # and the 43 leaf-twin rows is checked on the printed formula and on the
+    # value, beside every form on every partition up to size 10
     results = verify.coefficient_sweeps_check()
-    assert sorted((r.case, r.status, r.expected) for r in results
-                  if r.case in _SPECIALS_GROUPS) == [
-        ("coefficient-specials", "pass", "116 checks"),
-        ("leaf-twin-short-forms", "pass", "86 checks")]
+    assert sorted((r.case, r.status, r.expected) for r in results) == sorted(
+        (case, "pass", f"{count} checks") for case, count in _COEFF_GROUPS.items())
+    rows = Counter(name for name, _, _, _ in verify.printed_specials(10))
+    assert (rows["path"] + rows["cycle"], rows["twin-path-leaf"]) == (58, 43)
     for max_size in (3, 10, 14):
         rows = [(name, lam) for name, _, lam, _ in verify.printed_specials(max_size)]
         assert len(rows) == len(set(rows))  # each claim once
@@ -523,13 +527,20 @@ def test_coeff_specials_clean():
 
 
 def test_coeff_specials_catch_a_wrong_special(monkeypatch):
+    # a wrong e_2^2 in X_{C_4} fails the cycle group on the value, as a form
+    # check and as the special, never on the formula; the twinned cycle's
+    # identity reads X_{C_4} at n = 3 and 4, so its group sees it too
     right = fam.cycle_seq
     monkeypatch.setattr(fam, "cycle_seq",
                         lambda n: right(n) + e_term((2, 2)) if n == 4 else right(n))
     results = {r.case: (r.expected, r.actual) for r in verify.coefficient_sweeps_check()
-               if r.case.split(":")[0] in _SPECIALS_GROUPS}
-    assert results == {"coefficient-specials:cycle:e_(k^r):(2, 2):value": ("2", "3"),
-                       "leaf-twin-short-forms": ("86 checks", "86 checks")}
+               if r.status != "pass"}
+    assert {case: got for case, got in results.items()
+            if case.startswith("cycle-coefficients:")} == {
+        "cycle-coefficients:printed:(2, 2)": ("3", "2"),
+        "cycle-coefficients:e_(k^r):(2, 2):value": ("2", "3")}
+    assert {case.partition(":")[0] for case in results} == {
+        "cycle-coefficients", "twin-cycle-coefficients"}
 
 
 def test_coeff_specials_examples():
