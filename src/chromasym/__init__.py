@@ -20,9 +20,9 @@ def clear_caches() -> None:
     """Empty every module-level result memo, so the next call computes cold.
 
     Each memo registers itself when its module is loaded: the oracle's, the
-    power sums', the family recurrences' and the deepest build of each gf
-    form.  The CLI's shared argument parser is not a memo and is kept: it
-    holds no results.
+    coloring counter's tallies, the power sums', the family recurrences' and
+    the deepest build of each gf form.  The CLI's shared argument parser is
+    not a memo and is kept: it holds no results.
     """
     from .symfun import _MEMOS
 

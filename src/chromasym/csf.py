@@ -15,20 +15,13 @@ symmetric functions, and the triangle deletion identities.
 from __future__ import annotations
 
 from .graphs import Graph, add_edge, delete_edge, twin
-from .symfun import SymE, _memo, _part_key, _power_sum_of_key, e
+from .symfun import SymE, _memo, _part_key, _power_sum_of_key, _sum_of_products, e
 
 DEFAULT_MAX_VERTICES = 14
 COUNT_MAX_VERTICES, COUNT_MAX_K = 8, 5  # chromatic_count_check's bounds
 
-_csf_memo: dict[tuple[int, tuple], SymE] = _memo()
-
-
-def _bits(mask: int):
-    """The one-bit masks of mask, lowest first."""
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
+_csf_memo: dict[tuple[int, frozenset], SymE] = _memo()
+_tally_memo: dict[tuple[int, frozenset], tuple[int, ...]] = _memo()
 
 
 def csf(g: Graph) -> SymE:
@@ -42,16 +35,16 @@ def csf(g: Graph) -> SymE:
     if g.n > DEFAULT_MAX_VERTICES:
         raise ValueError(f"graph has {g.n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
 
-    key = (g.n, tuple(g.edge_list()))
+    key = (g.n, g.edges)
     cached = _csf_memo.get(key)
     if cached is not None:
         return cached
 
     n = g.n
-    adj = [0] * n
-    for a, b in key[1]:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    nbr = {1 << v: 0 for v in range(n)}  # one-bit mask -> its neighbours
+    for a, b in g.edges:
+        nbr[1 << a] |= 1 << b
+        nbr[1 << b] |= 1 << a
 
     # c[T] for every connected vertex set T, smallest first.  A vertex u with
     # one neighbour in T is on every connected spanning edge set through that
@@ -60,23 +53,32 @@ def csf(g: Graph) -> SymE:
     # c[T'] over T' with T - T' independent, and T - T' runs over the
     # independent subsets of T - min T.
     c: dict[int, int] = {}
-    layer = {1 << v: adj[v] for v in range(n)}  # T -> neighbours of its vertices
+    layer = dict(nbr)  # T -> neighbours of its vertices
     while layer:
         grown: dict[int, int] = {}
         for t, near in layer.items():
-            pendant = next((u for u in _bits(t)
-                            if (adj[u.bit_length() - 1] & t).bit_count() == 1), 0)
-            if pendant:
-                c[t] = -c[t ^ pendant]
+            rest = t
+            while rest:
+                u = rest & -rest
+                if (nbr[u] & t).bit_count() == 1:  # u is a pendant of T
+                    c[t] = -c[t ^ u]
+                    break
+                rest ^= u
             else:
                 low = t & -t
                 indep = [0]
-                for u in _bits(t ^ low):
-                    nb = adj[u.bit_length() - 1]
+                rest = t ^ low
+                while rest:
+                    u = rest & -rest
+                    rest ^= u
+                    nb = nbr[u]
                     indep += [r | u for r in indep if not r & nb]
                 c[t] = (t == low) - sum(c.get(t ^ r, 0) for r in indep[1:])
-            for u in _bits(near & ~t):
-                grown.setdefault(t | u, near | adj[u.bit_length() - 1])
+            rest = near & ~t
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                grown.setdefault(t | u, near | nbr[u])
         layer = grown
 
     # Sum over the partitions of V into blocks with c != 0, the block holding
@@ -100,46 +102,63 @@ def csf(g: Graph) -> SymE:
             sums[left] = got
         return got
 
-    total = SymE.zero()
-    for code, count in partition_sum((1 << n) - 1).items():
-        if count:
-            total = total + _power_sum_of_key(code) * count
-    _csf_memo.setdefault(key, total)
-    return total
+    # count * p_code for every code, summed into one accumulator
+    total = _sum_of_products((SymE.const(count), _power_sum_of_key(code))
+                             for code, count in partition_sum((1 << n) - 1).items())
+    return _csf_memo.setdefault(key, total)
 
 
 def count_proper_colorings(g: Graph, k: int) -> int:
     """Number of proper colorings with palette {1..k}, by independent-set partitions.
 
     Uses P(G, k) = sum_j a_j k(k-1)...(k-j+1) (Read, 1968), where a_j counts
-    the partitions of V into j independent sets.  The walk visits vertices in
-    label order and gives each one a block already in use or the next new
-    one, so every partition into at most k independent sets is visited
-    exactly once; the walks are tallied by their number of blocks.
-    Completely independent of the symmetric function route.
+    the partitions of V into j independent sets.  One pass tallies a_j for
+    every j: a partition of a vertex set S is an independent set I holding
+    min S plus a partition of S - I, and equal remaining sets share one
+    tally.  The tally is memoized by (n, edge set), so every palette size
+    reads the same one.  Completely independent of the symmetric function
+    route.
     """
     if k < 0:
         raise ValueError("palette size must be >= 0")
-    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
-    blocks = [-1] * g.n
-    tally = [0] * (g.n + 1)
-
-    def walk(v: int, used: int) -> None:
-        if v == g.n:
-            tally[used] += 1
-            return
-        for c in range(min(used + 1, k)):
-            if all(blocks[u] != c for u in earlier[v]):
-                blocks[v] = c
-                walk(v + 1, max(used, c + 1))
-        blocks[v] = -1
-
-    walk(0, 0)
+    key = (g.n, g.edges)
+    tally = _tally_memo.get(key)
+    if tally is None:
+        tally = _tally_memo.setdefault(key, _independent_partition_tally(g))
     total, falling = 0, 1
     for j, a_j in enumerate(tally):
         total += a_j * falling
         falling *= k - j
     return total
+
+
+def _independent_partition_tally(g: Graph) -> tuple[int, ...]:
+    """(a_0, ..., a_n), a_j the partitions of g's vertices into j independent sets."""
+    adj = [0] * g.n
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    tallies: dict[int, list[int]] = {0: [1]}
+
+    def tally(left: int) -> list[int]:
+        got = tallies.get(left)
+        if got is None:
+            low = left & -left
+            blocks = [low]  # the independent subsets of left holding its lowest vertex
+            rest = left & ~low & ~adj[low.bit_length() - 1]
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                nb = adj[u.bit_length() - 1]
+                blocks += [b | u for b in blocks if not b & nb]
+            got = [0] * (left.bit_count() + 1)
+            for b in blocks:
+                for j, a_j in enumerate(tally(left ^ b)):
+                    got[j + 1] += a_j
+            tallies[left] = got
+        return got
+
+    return tuple(tally((1 << g.n) - 1))
 
 
 def chromatic_count_check(g: Graph, k: int) -> bool:

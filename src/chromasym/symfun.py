@@ -344,12 +344,16 @@ def power_sum_lambda_to_e(lam) -> SymE:
 
 
 def _power_sum_of_key(key: int) -> SymE:
-    """prod_i p_{lam_i} for the partition lam packed as key; memoized by key."""
+    """prod_i p_{lam_i} for the partition lam packed as key; memoized by key.
+
+    A new key costs one product: p_lam = p_{lam - p} * p_p, where p is the
+    smallest part of lam (its field holds the lowest set bit of the key).
+    """
+    if not key:
+        return SymE.one()
     cached = _power_sum_lam_memo.get(key)
     if cached is not None:
         return cached
-    acc = SymE.one()
-    for p in _unpack(key):
-        acc = acc * power_sum_to_e(p)
-    _power_sum_lam_memo.setdefault(key, acc)
-    return acc
+    p = ((key & -key).bit_length() - 1) // _FIELD + 1
+    acc = _power_sum_of_key(key - _part_key(p)) * power_sum_to_e(p)
+    return _power_sum_lam_memo.setdefault(key, acc)

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromasym
 from chromasym import families as fam
 from chromasym import verify
 from chromasym.csf import (COUNT_MAX_K, COUNT_MAX_VERTICES, chromatic_count_check,
@@ -18,12 +19,19 @@ from chromasym.symfun import SymE, e, e_term, power_sum_lambda_to_e
 
 
 def brute_force_colorings(g, k):
-    # independent oracle: full k^n scan
+    # independent oracle: full scan of the k^n assignments, up to a colour
+    # swap: swapping two colours maps proper colourings onto proper
+    # colourings, so those with vertex 0 coloured 0 are 1/k of them
+    if g.n == 0:
+        return 1
     total = 0
-    for assignment in product(range(k), repeat=g.n):
-        if all(assignment[a] != assignment[b] for a, b in g.edges):
+    for assignment in product(range(1), *[range(k)] * (g.n - 1)):
+        for a, b in g.edges:
+            if assignment[a] == assignment[b]:
+                break
+        else:
             total += 1
-    return total
+    return k * total
 
 
 def subset_sum_csf(g):
@@ -158,6 +166,20 @@ def test_coloring_counts_against_full_scan():
              (cycle(5), 3), (twin(path(3), 1), 3)]
     for g, k in cases:
         assert count_proper_colorings(g, k) == brute_force_colorings(g, k)
+
+
+def test_coloring_tally_is_shared_across_palette_sizes():
+    # one tally per graph serves every k: the counts may not depend on
+    # which palette size filled it, so run k ascending and descending
+    graphs = [g for *_, g in verify.family_instances(8) if g is not None]
+    graphs += [complete(8), Graph(8)]
+    want = {(g, k): brute_force_colorings(g, k)
+            for g in set(graphs) for k in range(COUNT_MAX_K + 1)}
+    for ks in (range(COUNT_MAX_K + 1), range(COUNT_MAX_K, -1, -1)):
+        chromasym.clear_caches()
+        for g in graphs:
+            for k in ks:
+                assert count_proper_colorings(g, k) == want[g, k], (g, k)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromasym
 from chromasym.partitions import partitions_of
 from chromasym.symfun import (SymE, _sum_of_products, e, e_term, elementary_values,
                               power_sum_lambda_to_e, power_sum_to_e)
@@ -87,6 +88,19 @@ def test_power_sum_lambda():
     assert power_sum_lambda_to_e((2,)) == e_term((1, 1)) - e(2) * 2
     assert power_sum_lambda_to_e((2, 1)) == e_term((1, 1, 1)) - e_term((2, 1), 2)
     assert power_sum_lambda_to_e(()) == SymE.one()
+
+
+def test_power_sum_lambda_is_the_product_of_its_parts():
+    # each key is built from the key minus its smallest part: the memo
+    # order may not matter, so visit partitions cold in both orders
+    lams = [lam for n in range(11) for lam in partitions_of(n)]
+    for order in (lams, lams[::-1]):
+        chromasym.clear_caches()
+        for lam in order:
+            want = SymE.one()
+            for p in lam:
+                want = want * power_sum_to_e(p)
+            assert power_sum_lambda_to_e(lam) == want, lam
 
 
 def test_add_cancellation():
