@@ -20,6 +20,13 @@ from .symfun import SymE, _memo, _part_key, _power_sum_of_key, _sum_of_products,
 DEFAULT_MAX_VERTICES = 14
 COUNT_MAX_VERTICES, COUNT_MAX_K = 8, 5  # chromatic_count_check's bounds
 
+
+def check_vertex_bound(n: int) -> None:
+    """ValueError if a graph of n vertices is past the oracle's bound."""
+    if n > DEFAULT_MAX_VERTICES:
+        raise ValueError(f"graph has {n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
+
+
 _csf_memo: dict[tuple[int, frozenset], SymE] = _memo()
 _tally_memo: dict[tuple[int, frozenset], tuple[int, ...]] = _memo()
 
@@ -32,9 +39,7 @@ def csf(g: Graph) -> SymE:
     not with 2^{|E|}, so the edge count needs no bound.  Results are
     memoized by (n, edge set).
     """
-    if g.n > DEFAULT_MAX_VERTICES:
-        raise ValueError(f"graph has {g.n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
-
+    check_vertex_bound(g.n)
     key = (g.n, g.edges)
     cached = _csf_memo.get(key)
     if cached is not None:
@@ -116,11 +121,12 @@ def count_proper_colorings(g: Graph, k: int) -> int:
     every j: a partition of a vertex set S is an independent set I holding
     min S plus a partition of S - I, and equal remaining sets share one
     tally.  The tally is memoized by (n, edge set), so every palette size
-    reads the same one.  Completely independent of the symmetric function
-    route.
+    reads the same one.  Refuses graphs past DEFAULT_MAX_VERTICES vertices
+    before any tally work.  Independent of the symmetric function route.
     """
     if k < 0:
         raise ValueError("palette size must be >= 0")
+    check_vertex_bound(g.n)
     key = (g.n, g.edges)
     tally = _tally_memo.get(key)
     if tally is None:

@@ -64,10 +64,6 @@ def _recur(key, n: int, seeds: Callable[[], dict], first: int,
 
 def path_seq(n: int) -> SymE:
     """X of the n-vertex path: n e_n + sum_{j=2}^{n-1} (j-1) e_j X_{P_{n-j}}."""
-    try:
-        return _recurrences["path"][n]
-    except KeyError:
-        pass
     FAMILIES["path"].check("path", n, None)
     return _recur("path", n, lambda: {0: SymE.one()}, 1, lambda m: e(m) * m)
 
@@ -77,10 +73,6 @@ def cycle_seq(n: int) -> SymE:
 
     The rule gives 0 and 2e_2 at n = 1, 2; the engine's j = n-1 term is 0.
     """
-    try:
-        return _recurrences["cycle"][n]
-    except KeyError:
-        pass
     FAMILIES["cycle"].check("cycle", n, None)
     return _recur("cycle", n, dict, 1, lambda m: e(m) * (m * (m - 1)))
 
@@ -118,10 +110,10 @@ def _leaf_twin_drive(m: int) -> SymE:
             + e(m - 1) * e(2) * (2 * (m - 3)))
 
 
-# twin_path_leaf, twin_path_both and twin_cycle stay as public entry points:
-# the query-mix benchmark's gate and the README example call them.  Every
-# other family is reached through family_value.
-def twin_path_leaf(n: int, method: str = "identity") -> SymE:
+# twin_path_leaf, twin_path_both and twin_cycle stay as public entry points
+# (the query-mix benchmark's gate and the README example call them); with no
+# method, each takes its entry's first route.  Other families use family_value.
+def twin_path_leaf(n: int, method: Optional[str] = None) -> SymE:
     """X of the n-path twinned at a leaf."""
     return family_value("twin-path-leaf", n, method=method)
 
@@ -207,7 +199,7 @@ def _both_leaves_drive(m: int) -> SymE:
                       + e(m - 1) * e(1) * (4 * (m - 2))))
 
 
-def twin_path_both(n: int, method: str = "identity") -> SymE:
+def twin_path_both(n: int, method: Optional[str] = None) -> SymE:
     """X of the n-path twinned at both leaves."""
     return family_value("twin-path-both", n, method=method)
 
@@ -409,7 +401,7 @@ def _twin_cycle_drive(m: int) -> SymE:
             - e(2) * e(m - 1) * (2 * (m - 3)))
 
 
-def twin_cycle(n: int, method: str = "identity") -> SymE:
+def twin_cycle(n: int, method: Optional[str] = None) -> SymE:
     """X of the n-cycle twinned at a vertex; n = 1 is the pinned convention 2e_2."""
     return family_value("twin-cycle", n, method=method)
 

@@ -190,7 +190,7 @@ def parse_graph(text: str) -> Graph:
     bounded by that count, not by the recursion limit.
     """
     # deferred: csf imports this module
-    from .csf import DEFAULT_MAX_VERTICES
+    from .csf import check_vertex_bound
     text = text.strip()
     vertices = []  # the twinned vertices, outermost first
     while text.startswith("twin("):
@@ -204,8 +204,7 @@ def parse_graph(text: str) -> Graph:
         text = base.strip()
     n, build = _base_spec(text)
     n += len(vertices)
-    if n > DEFAULT_MAX_VERTICES:
-        raise ValueError(f"graph has {n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
+    check_vertex_bound(n)
     g = build()
     for v in reversed(vertices):
         g = twin(g, v)

@@ -111,7 +111,8 @@ def epsilon_table_check() -> list[CaseResult]:
 
 def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
     col = Collector("partitions")
-    with col.group("epsilon-closed-forms") as g:
+    with (col.group("epsilon-closed-forms") as g, col.group("epsilon-scaling") as scaling,
+          col.group("epsilon-removal") as removal):
         for n in range(1, 41):
             g.check(f"single-part-{n}", epsilon((n,)), n - 1)
         for k in range(1, 13):
@@ -121,21 +122,16 @@ def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
                 g.check_true(f"vanish-iff-one:{lam}",
                              (epsilon(lam) == 0) == (1 in lam),
                              f"epsilon({lam}) = {epsilon(lam)}")
-    with col.group("epsilon-scaling") as g:
-        for n in range(1, max_size + 1):
-            for lam in partitions_of(n):
+                if n:  # epsilon(()) = 1 against an empty sum
+                    removal.check(str(lam), epsilon(lam),
+                                  sum((j - 1) * epsilon_minus(lam, j) for j in support(lam)))
                 if 1 in lam:
                     continue
                 mult = multiplicities(lam)
                 for j in support(lam):
-                    g.check(f"{lam},j={j}",
-                            (j - 1) * epsilon_minus(lam, j) * len(lam),
-                            mult[j] * epsilon(lam))
-    with col.group("epsilon-removal") as g:
-        for n in range(1, max_size + 1):
-            for lam in partitions_of(n):
-                g.check(str(lam), epsilon(lam),
-                        sum((j - 1) * epsilon_minus(lam, j) for j in support(lam)))
+                    scaling.check(f"{lam},j={j}",
+                                  (j - 1) * epsilon_minus(lam, j) * len(lam),
+                                  mult[j] * epsilon(lam))
     with col.group("epsilon-union") as g:
         for total in range(0, EPSILON_UNION_MAX + 1):
             for n in range(0, total + 1):
@@ -459,18 +455,20 @@ def fixtures_check() -> list[CaseResult]:
 
 def structural_check(max_vertices: int = 9) -> list[CaseResult]:
     col = Collector("oracle")
-    inventory = [(label, graph) for _, _, _, label, graph in family_instances(max_vertices)
-                 if graph is not None]
-
-    with col.group("homogeneity") as g:
-        for label, graph in inventory:
-            value = csf(graph)
-            g.check(f"{label}", value.homogeneous_degree(), graph.n)
-
-    with col.group("triple-deletion") as g:
-        for label, graph in inventory:
+    with (col.group("homogeneity") as homog, col.group("triple-deletion") as triple,
+          col.group("coloring-counts") as counts, col.group("twin-edge-count") as twins):
+        for _, _, _, label, graph in family_instances(max_vertices):
+            if graph is None:
+                continue
+            homog.check(label, csf(graph).homogeneous_degree(), graph.n)
             for tri in graphs.triangles(graph):
-                g.check_true(f"{label}:{tri}", triple_deletion_check(graph, tri))
+                triple.check_true(f"{label}:{tri}", triple_deletion_check(graph, tri))
+            if graph.n <= COUNT_MAX_VERTICES:
+                for k in range(1, COUNT_MAX_K + 1):
+                    counts.check_true(f"{label}:k={k}", chromatic_count_check(graph, k))
+            if graph.n:
+                twins.check(f"{label}:v=0", len(graphs.twin(graph, 0).edges),
+                            len(graph.edges) + len(graph.neighbors(0)) + 1)
 
     with col.group("near-triangle") as g:
         for n in range(3, min(6, max_vertices) + 1):
@@ -492,21 +490,6 @@ def structural_check(max_vertices: int = 9) -> list[CaseResult]:
             g.check(f"{gg!r}|{hh!r}",
                     csf(graphs.disjoint_union(gg, hh)),
                     csf(gg) * csf(hh))
-
-    with col.group("coloring-counts") as g:
-        for label, graph in inventory:
-            if graph.n > COUNT_MAX_VERTICES:
-                continue
-            for k in range(1, COUNT_MAX_K + 1):
-                g.check_true(f"{label}:k={k}", chromatic_count_check(graph, k))
-
-    with col.group("twin-edge-count") as g:
-        for label, graph in inventory:
-            if graph.n == 0:
-                continue
-            tg = graphs.twin(graph, 0)
-            g.check(f"{label}:v=0", len(tg.edges),
-                    len(graph.edges) + len(graph.neighbors(0)) + 1)
     return col.results
 
 

@@ -425,6 +425,24 @@ def _failed_groups(results) -> set[str]:
     return {r.case.partition(":")[0] for r in results if r.status != "pass"}
 
 
+def test_merged_verify_groups_report_only_their_own_failures(monkeypatch):
+    # the oracle and partition suites check several groups in one pass; a
+    # fault in one check fails its own group and no other
+    verify = cli.verify
+    assert _failed_groups(verify.structural_check(5)) == set()
+    assert _failed_groups(verify.epsilon_properties_check(6)) == set()
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "triple_deletion_check", lambda graph, tri: False)
+        assert _failed_groups(verify.structural_check(5)) == {"triple-deletion"}
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "chromatic_count_check", lambda graph, k: False)
+        assert _failed_groups(verify.structural_check(5)) == {"coloring-counts"}
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "epsilon_minus", lambda lam, j: -1)
+        assert (_failed_groups(verify.epsilon_properties_check(6))
+                == {"epsilon-scaling", "epsilon-removal"})
+
+
 def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch):
     verify, families = cli.verify, cli.families
     assert _failed_groups(verify.series_identities_check(8)) == set()

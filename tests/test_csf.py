@@ -182,6 +182,20 @@ def test_coloring_tally_is_shared_across_palette_sizes():
                 assert count_proper_colorings(g, k) == want[g, k], (g, k)
 
 
+def test_coloring_counter_refuses_graphs_past_the_oracle_bound():
+    # cold, the tally of path:15 alone would take about a second; the
+    # refusal comes before any tally work
+    chromasym.clear_caches()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="graph has 15 vertices, oracle bound is 14"):
+        count_proper_colorings(path(15), 3)
+    assert time.perf_counter() - start < 1.0
+    assert count_proper_colorings(path(14), 3) == 3 * 2 ** 13
+    # the palette is checked first, before the vertex bound
+    with pytest.raises(ValueError, match="palette size"):
+        count_proper_colorings(Graph(15), -1)
+
+
 @st.composite
 def simple_graphs(draw, max_n=7, max_edges=None):
     n = draw(st.integers(min_value=0, max_value=max_n))

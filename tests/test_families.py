@@ -567,6 +567,20 @@ def test_family_value_dispatch():
         fam.family_value("no-such", 6)
 
 
+def test_route_functions_default_to_the_first_route(monkeypatch):
+    # a sentinel route put first in each entry is what the wrapper returns
+    # without a method: the default is declared once, by the table's order
+    sentinel = SymE.const(7)
+    for name, route in (("twin-path-leaf", fam.twin_path_leaf),
+                        ("twin-path-both", fam.twin_path_both),
+                        ("twin-cycle", fam.twin_cycle)):
+        spec = fam.FAMILIES[name]
+        routes = {"sentinel": lambda n, ell: sentinel, **spec.routes}
+        monkeypatch.setitem(fam.FAMILIES, name, dataclasses.replace(spec, routes=routes))
+        assert route(4) is sentinel, name
+        assert route(4, "identity") == fam.family_value(name, 4, method="recurrence"), name
+
+
 def test_route_functions_share_the_table_domain():
     # one out-of-domain member per family: the route function and the
     # dispatcher reject it with the same message
