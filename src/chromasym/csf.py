@@ -27,8 +27,8 @@ def check_vertex_bound(n: int) -> None:
         raise ValueError(f"graph has {n} vertices, oracle bound is {DEFAULT_MAX_VERTICES}")
 
 
-_csf_memo: dict[tuple[int, frozenset], SymE] = _memo()
-_tally_memo: dict[tuple[int, frozenset], tuple[int, ...]] = _memo()
+_csf_memo: dict[Graph, SymE] = _memo()
+_tally_memo: dict[Graph, tuple[int, ...]] = _memo()
 
 
 def csf(g: Graph) -> SymE:
@@ -37,19 +37,15 @@ def csf(g: Graph) -> SymE:
     Refuses more than DEFAULT_MAX_VERTICES vertices, before any work: the
     work grows with the connected vertex sets of g, up to about 3^n steps,
     not with 2^{|E|}, so the edge count needs no bound.  Results are
-    memoized by (n, edge set).
+    memoized by graph.
     """
     check_vertex_bound(g.n)
-    key = (g.n, g.edges)
-    cached = _csf_memo.get(key)
+    cached = _csf_memo.get(g)
     if cached is not None:
         return cached
 
     n = g.n
-    nbr = {1 << v: 0 for v in range(n)}  # one-bit mask -> its neighbours
-    for a, b in g.edges:
-        nbr[1 << a] |= 1 << b
-        nbr[1 << b] |= 1 << a
+    nbr = {1 << v: mask for v, mask in enumerate(g.adj)}  # one-bit mask -> its neighbours
 
     # c[T] for every connected vertex set T, smallest first.  A vertex u with
     # one neighbour in T is on every connected spanning edge set through that
@@ -110,7 +106,7 @@ def csf(g: Graph) -> SymE:
     # count * p_code for every code, summed into one accumulator
     total = _sum_of_products((SymE.const(count), _power_sum_of_key(code))
                              for code, count in partition_sum((1 << n) - 1).items())
-    return _csf_memo.setdefault(key, total)
+    return _csf_memo.setdefault(g, total)
 
 
 def count_proper_colorings(g: Graph, k: int) -> int:
@@ -120,17 +116,16 @@ def count_proper_colorings(g: Graph, k: int) -> int:
     the partitions of V into j independent sets.  One pass tallies a_j for
     every j: a partition of a vertex set S is an independent set I holding
     min S plus a partition of S - I, and equal remaining sets share one
-    tally.  The tally is memoized by (n, edge set), so every palette size
+    tally.  The tally is memoized by graph, so every palette size
     reads the same one.  Refuses graphs past DEFAULT_MAX_VERTICES vertices
     before any tally work.  Independent of the symmetric function route.
     """
     if k < 0:
         raise ValueError("palette size must be >= 0")
     check_vertex_bound(g.n)
-    key = (g.n, g.edges)
-    tally = _tally_memo.get(key)
+    tally = _tally_memo.get(g)
     if tally is None:
-        tally = _tally_memo.setdefault(key, _independent_partition_tally(g))
+        tally = _tally_memo.setdefault(g, _independent_partition_tally(g))
     total, falling = 0, 1
     for j, a_j in enumerate(tally):
         total += a_j * falling
@@ -140,10 +135,7 @@ def count_proper_colorings(g: Graph, k: int) -> int:
 
 def _independent_partition_tally(g: Graph) -> tuple[int, ...]:
     """(a_0, ..., a_n), a_j the partitions of g's vertices into j independent sets."""
-    adj = [0] * g.n
-    for a, b in g.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = g.adj
     tallies: dict[int, list[int]] = {0: [1]}
 
     def tally(left: int) -> list[int]:

@@ -20,21 +20,25 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1; immutable."""
+    """Simple undirected graph on vertices 0..n-1; immutable; adj[v] masks v's neighbours."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         es = set()
+        adj = [0] * n
         for u, v in edges:
-            edge = _norm_edge(u, v)
-            if not (0 <= edge[0] and edge[1] < n):
+            edge = a, b = _norm_edge(u, v)
+            if not (0 <= a and b < n):
                 raise ValueError(f"edge {edge} out of range for {n} vertices")
             es.add(edge)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         self.n = n
         self.edges = frozenset(es)
+        self.adj = tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
@@ -42,20 +46,10 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        return [u for u in range(self.n) if self.adj[v] >> u & 1]
 
     def degree_sequence(self) -> list[int]:
-        degs = [0] * self.n
-        for a, b in self.edges:
-            degs[a] += 1
-            degs[b] += 1
-        return sorted(degs, reverse=True)
+        return sorted((mask.bit_count() for mask in self.adj), reverse=True)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

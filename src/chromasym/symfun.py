@@ -319,20 +319,11 @@ def power_sum_to_e(n: int) -> SymE:
     """Power sum p_n expanded in the e-basis via the Newton recurrence.
 
     p_n = sum_{i=1}^{n-1} (-1)^{i-1} e_i p_{n-i} + (-1)^{n-1} n e_n.
-    Memoized in the one power-sum table, under the key of (n,).
+    Read from the one power-sum table, under the key of (n,).
     """
     if n < 1:
         raise ValueError("power sum index must be >= 1")
-    key = _part_key(n)
-    cached = _power_sum_memo.get(key)
-    if cached is not None:
-        return cached
-    for m in range(1, n + 1):
-        if _part_key(m) not in _power_sum_memo:
-            _power_sum_memo[_part_key(m)] = e(m) * ((-1) ** (m - 1) * m) + _sum_of_products(
-                (e_term((i,), (-1) ** (i - 1)), _power_sum_memo[_part_key(m - i)])
-                for i in range(1, m))
-    return _power_sum_memo[key]
+    return _power_sum_of_key(_part_key(n))
 
 
 def power_sum_lambda_to_e(lam) -> SymE:
@@ -343,7 +334,8 @@ def power_sum_lambda_to_e(lam) -> SymE:
 def _power_sum_of_key(key: int) -> SymE:
     """prod_i p_{lam_i} for the partition lam packed as key; memoized by key.
 
-    A one-part key is p_n itself, read from the table power_sum_to_e fills.
+    The only reader and writer of _power_sum_memo.  A new one-part key (n,)
+    fills p_1..p_n by the Newton recurrence, looping over the missing p_m.
     Any other new key costs one product: p_lam = p_{lam - p} * p_p, where p
     is the smallest part of lam (its field holds the lowest set bit of the key).
     """
@@ -353,7 +345,12 @@ def _power_sum_of_key(key: int) -> SymE:
     if cached is not None:
         return cached
     p = ((key & -key).bit_length() - 1) // _FIELD + 1
-    if key == _part_key(p):
-        return power_sum_to_e(p)
-    acc = _power_sum_of_key(key - _part_key(p)) * power_sum_to_e(p)
-    return _power_sum_memo.setdefault(key, acc)
+    if key != _part_key(p):
+        acc = _power_sum_of_key(key - _part_key(p)) * _power_sum_of_key(_part_key(p))
+        return _power_sum_memo.setdefault(key, acc)
+    for m in range(1, p + 1):
+        if _part_key(m) not in _power_sum_memo:
+            _power_sum_memo[_part_key(m)] = e(m) * ((-1) ** (m - 1) * m) + _sum_of_products(
+                (e_term((i,), (-1) ** (i - 1)), _power_sum_memo[_part_key(m - i)])
+                for i in range(1, m))
+    return _power_sum_memo[key]

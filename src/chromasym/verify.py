@@ -282,6 +282,7 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             continue
         for ell in GF_ELLS if spec.ells else (None,):
             label = name if ell is None else f"{name}-ell{ell}"
+            # built here, not through ps.deepest: keeping every form doubled the deep run's peak RSS
             forms = {form: (scale, series(N, ell)) for form, (scale, series) in spec.gfs.items()}
             first, (first_scale, first_series) = next(iter(forms.items()))
             members = [n for n in range(spec.gf_from, N - spec.extra + 1)

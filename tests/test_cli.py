@@ -443,6 +443,14 @@ def test_merged_verify_groups_report_only_their_own_failures(monkeypatch):
                 == {"epsilon-scaling", "epsilon-removal"})
 
 
+def test_series_suite_builds_its_gf_forms_transiently():
+    # keeping every form's deepest build doubled the deep run's peak RSS, so
+    # the series suite builds each form without the deepest-build memo
+    chromasym.clear_caches()
+    cli.verify.series_identities_check(12)
+    assert cli.powerseries._deepest == {}
+
+
 def test_verify_reads_gf_forms_and_coefficient_scales_from_the_table(monkeypatch):
     verify, families = cli.verify, cli.families
     assert _failed_groups(verify.series_identities_check(8)) == set()

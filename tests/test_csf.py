@@ -13,8 +13,8 @@ from chromasym.csf import (COUNT_MAX_K, COUNT_MAX_VERTICES, chromatic_count_chec
                            count_proper_colorings, csf,
                            leaf_twin_reduction_check, near_triangle_check,
                            triple_deletion_check)
-from chromasym.graphs import (Graph, cycle, disjoint_union, family, path, twin,
-                              triangles)
+from chromasym.graphs import (Graph, cycle, delete_edge, disjoint_union, family, path,
+                              twin, triangles)
 from chromasym.symfun import SymE, e, e_term, power_sum_lambda_to_e
 
 
@@ -180,6 +180,23 @@ def test_coloring_tally_is_shared_across_palette_sizes():
         for g in graphs:
             for k in ks:
                 assert count_proper_colorings(g, k) == want[g, k], (g, k)
+
+
+def test_equal_graphs_share_one_oracle_and_one_tally_entry():
+    # the memos are keyed by the graph itself: equal graphs built by twin and
+    # delete, by reversed edge order and orientation, and spelled out share
+    # one entry
+    g = delete_edge(twin(path(5), 2), 2, 5)
+    spellings = [g, Graph(6, [(b, a) for a, b in reversed(g.edge_list())]),
+                 Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5)])]
+    oracle = importlib.import_module("chromasym.csf")
+    chromasym.clear_caches()
+    for h in spellings:
+        csf(h)
+        count_proper_colorings(h, 3)
+    for memo in (oracle._csf_memo, oracle._tally_memo):
+        [key] = memo
+        assert type(key) is Graph and key == g
 
 
 def test_coloring_counter_refuses_graphs_past_the_oracle_bound():

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromasym.graphs import (Graph, add_edge, cycle, delete_edge,
                               disjoint_union, family, parse_graph, path,
@@ -173,3 +176,38 @@ def test_pinned_members_have_no_graph(name, n):
         parse_graph(f"{name}:{n}")
     assert str(by_family.value) == str(by_spec.value) == want
     assert family(name, 3).n >= 3
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    # each edge given in either orientation
+    return Graph(n, [(b, a) if draw(st.booleans()) else (a, b) for a, b in sorted(edges)])
+
+
+@settings(derandomize=True)
+@given(graphs(), st.data())
+def test_adjacency_masks_are_the_edge_set(g, data):
+    derived = [g, disjoint_union(g, data.draw(graphs(max_n=5)))]
+    if g.n:
+        derived.append(twin(g, data.draw(st.integers(min_value=0, max_value=g.n - 1))))
+    if g.edges:
+        derived.append(delete_edge(g, *data.draw(st.sampled_from(sorted(g.edges)))))
+    non_edges = [pair for pair in combinations(range(g.n), 2) if pair not in g.edges]
+    if non_edges:
+        derived.append(add_edge(g, *data.draw(st.sampled_from(non_edges))))
+    for h in derived:
+        assert len(h.adj) == h.n
+        degrees = [0] * h.n
+        for a, b in h.edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        for v in range(h.n):
+            assert h.adj[v] >> h.n == 0
+            for u in range(h.n):
+                assert bool(h.adj[v] >> u & 1) == (u != v and h.has_edge(u, v)), (h, u, v)
+            scan = sorted(b if a == v else a for a, b in h.edges if v in (a, b))
+            assert h.neighbors(v) == scan, (h, v)
+        assert h.degree_sequence() == sorted(degrees, reverse=True), h

@@ -103,6 +103,23 @@ def test_power_sum_lambda_is_the_product_of_its_parts():
             assert power_sum_lambda_to_e(lam) == want, lam
 
 
+def test_power_sum_table_is_the_same_in_either_fill_order():
+    # one table holds p_n and p_lam alike: filling it from a product first or
+    # from the p_n first leaves the same keys and values
+    from chromasym import symfun
+    calls = [lambda: power_sum_lambda_to_e((5, 3, 1))]
+    calls += [lambda k=k: power_sum_to_e(k) for k in range(1, 9)]
+    tables = []
+    for order in (calls, calls[::-1]):
+        chromasym.clear_caches()
+        for call in order:
+            call()
+        tables.append(dict(symfun._power_sum_memo))
+    assert tables[0] == tables[1]
+    assert set(tables[0]) == ({symfun._part_key(k) for k in range(1, 9)}
+                              | {symfun._pack((5, 3)), symfun._pack((5, 3, 1))})
+
+
 def test_add_cancellation():
     assert e(2) * 2 + e(2) * -2 == SymE.zero()
     assert not (e(2) * 2 - e(2) * 2)
