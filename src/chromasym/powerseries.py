@@ -94,6 +94,8 @@ class Series:
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, SymE)):
+            if other == 1:  # an int 1; values are immutable
+                return self
             return Series([c * other for c in self.coeffs], self.trunc)
         if not isinstance(other, Series):
             return NotImplemented
@@ -108,7 +110,8 @@ class Series:
         """self / other for a divisor with constant term exactly 1.
 
         Solves other * h = self degree by degree:
-        h_d = self_d + sum_{i=1}^{d} (-other_i) h_{d-i}.
+        h_d = sum_{i=1}^{d} (-other_i) h_{d-i} + self_d, the products passed
+        largest (densest h_{d-i}) first, as _sum_of_products wants them.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -119,14 +122,10 @@ class Series:
         neg = [(i, -c) for i, c in enumerate(f.coeffs[1:], 1) if c]
         h: list[SymE] = []
         for d, c in enumerate(num.coeffs):
-            h.append(_sum_of_products([(c, one)] + [(n, h[d - i]) for i, n in neg
-                                                    if i <= d and h[d - i]]))
+            h.append(_sum_of_products([*((n, h[d - i]) for i, n in neg if i <= d), (one, c)]))
         return Series(h, num.trunc)
 
-    def __rmul__(self, other) -> "Series":
-        if isinstance(other, (int, SymE)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def graded_ok(self) -> bool:
         """True when every nonzero z^d coefficient is homogeneous of degree d."""

@@ -151,27 +151,31 @@ class SymE:
         return SymE._raw({key: -c for key, c in self._terms.items()})
 
     def __add__(self, other) -> "SymE":
-        if not isinstance(other, SymE):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SymE._raw(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other) -> "SymE":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "SymE":
+        """self + sign * other: copies the larger operand's terms and loops over the smaller's."""
         if not isinstance(other, SymE):
             return NotImplemented
-        return self + (-other)
+        if len(self._terms) >= len(other._terms):
+            out, small = dict(self._terms), other._terms
+        else:  # -other is a new dict: a large other is negated once, not copied again
+            out, small, sign = dict(other._terms) if sign > 0 else (-other)._terms, self._terms, 1
+        for key, c in small.items():
+            s = out.get(key, 0) + sign * c
+            if s:
+                out[key] = s
+            else:  # c != 0, so key was in out
+                del out[key]
+        return SymE._raw(out)
 
     def __mul__(self, other) -> "SymE":
-        if isinstance(other, int):
-            if other == 0:
-                return SymE.zero()
-            return SymE._raw({key: c * other for key, c in self._terms.items()})
+        if isinstance(other, int):  # values are immutable, so x * 1 is x itself
+            return self if other == 1 else SymE._raw(
+                {key: c * other for key, c in self._terms.items()} if other else {})
         if not isinstance(other, SymE):
             return NotImplemented
         return _sum_of_products(((self, other),))
@@ -257,22 +261,31 @@ class SymE:
 
 
 def _sum_of_products(pairs) -> SymE:
-    """Sum of x * y over the (x, y) pairs of SymE values.
+    """Sum of x * y over the (x, y) pairs of SymE values, in one dict.
 
-    All products accumulate in one dict and zero coefficients are dropped
-    once at the end, since equality and hashing compare zero-free dicts.
-    The key of e_lam * e_mu is the sum of their keys; the keys are checked
-    for a part repeated 64 times once, after the loop.
+    The first non-empty product fills the dict with one comprehension, the
+    first term of x times every term of y (distinct keys), so callers pass
+    their largest product first, a one-term x before a dense y.  Zeros are
+    dropped at the end, only if there is one: equality and hashing compare
+    zero-free dicts.  The key of e_lam * e_mu is the sum of their keys; the
+    keys are checked for a part repeated 64 times once, after the loop.
     """
     out: dict[int, int] = {}
-    get = out.get
     for x, y in pairs:
-        for lam, a in x._terms.items():
-            for mu, b in y._terms.items():
+        rows, cols = x._terms.items(), y._terms.items()
+        if not out and rows and cols:  # the first non-empty product; out never empties
+            rows = iter(rows)
+            lam, a = next(rows)
+            out = {lam + mu: a * b for mu, b in cols}
+            get = out.get
+        for lam, a in rows:
+            for mu, b in cols:
                 key = lam + mu
                 out[key] = get(key, 0) + a * b
     _check_repeats(out)
-    return SymE._raw({key: c for key, c in out.items() if c})
+    if 0 in out.values():
+        out = {key: c for key, c in out.items() if c}
+    return SymE._raw(out)
 
 
 def e(i: int) -> SymE:

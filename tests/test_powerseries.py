@@ -1,8 +1,10 @@
+import hashlib
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromasym import families
 from chromasym import powerseries as ps
 from chromasym.csf import csf
 from chromasym.graphs import path
@@ -319,3 +321,24 @@ def test_division_rejects_non_unit_divisor():
             ps.weighted("E", 6) / divisor
     with pytest.raises(TypeError):
         Series.one(6) / 2
+
+
+# sha256 of the to_json of every coefficient, z^0 to z^36, one per line
+_DEPTH_36_DIGESTS = {
+    ps.path_gf: "a5704433c2a81f11a6e0b34bffe148b37e69b9d6335d70d17cd7edd6707640d0",
+    families.twin_cycle_gf_half: "f7e24f6201267f16a6f8b627e7e7b1077dd9c774d651a6809bdabaf383cf09d5",
+}
+
+
+@pytest.mark.parametrize("build", _DEPTH_36_DIGESTS, ids=lambda build: build.__name__)
+def test_depth_36_values_are_pinned(build):
+    series = build(36)
+    text = "\n".join(c.to_json() for c in series.coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == _DEPTH_36_DIGESTS[build]
+
+
+def test_scaling_by_one_returns_the_series_itself():
+    s = ps.weighted("F2", 8) + Series.monomial(e(1), 1, 8)
+    assert s * 1 is s and 1 * s is s
+    assert s * 2 == s + s and s * -1 == -s
+    assert s * e(1) == s * Series.monomial(e(1), 0, 8)

@@ -268,6 +268,91 @@ def test_products_match_the_tuple_reference(term_pairs):
     assert dict(_sum_of_products(pairs).items()) == {lam: c for lam, c in want.items() if c}
 
 
+def _reference_sum(products):
+    """The zero-free sum of reference_mul over (x, y) pairs of term dicts."""
+    want: dict = {}
+    for x, y in products:
+        for lam, c in reference_mul(x, y).items():
+            want[lam] = want.get(lam, 0) + c
+    return {lam: c for lam, c in want.items() if c}
+
+
+# the factors that contribute nothing: an empty x, an empty y, or both
+_EMPTY_PRODUCTS = [(SymE.zero(), e(1)), (e(2), SymE.zero()), (SymE.zero(), SymE.zero())]
+
+
+@settings(derandomize=True, max_examples=80)
+@given(st.integers(min_value=0, max_value=3), st.lists(st.tuples(wide_terms, wide_terms), max_size=3),
+       st.booleans())
+def test_sum_of_products_fills_from_its_first_nonempty_product(empties, term_pairs, cancel):
+    # leading empty products, then live ones; with cancel, a last product
+    # that exactly cancels the first live one
+    live = list(term_pairs)
+    if cancel and live:
+        x, y = live[0]
+        live.append(({lam: -c for lam, c in x.items()}, y))
+    got = _sum_of_products(_EMPTY_PRODUCTS[:empties] + [(SymE(x), SymE(y)) for x, y in live])
+    assert dict(got.items()) == _reference_sum(live)
+    assert 0 not in dict(got.items()).values()
+    if cancel and len(term_pairs) == 1:
+        assert got == SymE.zero()
+
+
+def test_sum_of_products_edge_cases():
+    assert _sum_of_products([]) == SymE.zero()
+    assert _sum_of_products(_EMPTY_PRODUCTS) == SymE.zero()
+    x, y = e(1) + e(2) * 3, e(2) - e_term((1, 1))
+    assert _sum_of_products(_EMPTY_PRODUCTS + [(x, y), (-x, y)]) == SymE.zero()
+    assert _sum_of_products([(x, y), (e(3), e(3)), (x, -y)]) == e_term((3, 3))
+    repeats = "a part repeats 64 or more times"
+    with pytest.raises(OverflowError, match=repeats):  # one product, all in the first fill
+        _sum_of_products([(e_term((5,) * 32), e_term((5,) * 32))])
+    with pytest.raises(OverflowError, match=repeats):
+        _sum_of_products(_EMPTY_PRODUCTS + [(e_term((1,) * 63), e(1) + e(2))])
+    with pytest.raises(OverflowError, match=repeats):  # the first fill is fine, the loop is not
+        _sum_of_products([(e(2) + e_term((1,) * 63), e(1))])
+
+
+# --- sums of operands of very different sizes
+
+_FIRST_PARTITIONS = [lam for n in range(12) for lam in partitions_of(n)]  # 195 of them
+
+
+@st.composite
+def lopsided_operands(draw):
+    """(big, small): up to 195 terms against one, the one often on a term of big."""
+    coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=len(_FIRST_PARTITIONS), max_size=len(_FIRST_PARTITIONS)))
+    big = SymE(dict(zip(_FIRST_PARTITIONS, coeffs)))
+    lam = draw(st.sampled_from(_FIRST_PARTITIONS + [(12,)]))
+    c = big.coefficient(lam)
+    small = e_term(lam, draw(st.sampled_from([k for k in (-c, c, 1, -2) if k])))
+    return big, small
+
+
+@settings(derandomize=True, max_examples=60)
+@given(lopsided_operands(), st.booleans())
+def test_add_and_sub_of_lopsided_operands(operands, big_first):
+    a, b = operands if big_first else operands[::-1]
+    before = (list(a.items()), list(b.items()))
+    total = a + b
+    assert total == b + a
+    assert dict(total.items()) == {lam: c for lam in set(dict(a.items())) | set(dict(b.items()))
+                                   if (c := a.coefficient(lam) + b.coefficient(lam))}
+    assert a - b == -(b - a)
+    assert total - b == a and total - a == b
+    assert a - a == SymE.zero() and b + (-b) == SymE.zero()
+    for value in (total, b + a, a - b, b - a, total - b, total - a, a - a):
+        assert 0 not in dict(value.items()).values()
+    assert (list(a.items()), list(b.items())) == before
+
+
+def test_multiplying_by_one_returns_the_value_itself():
+    f = e(2) * 3 - e_term((1, 1))
+    assert f * 1 is f and 1 * f is f
+    assert f * 2 == f + f and f * 0 == SymE.zero() and not f * 0
+
+
 @given(wide_terms)
 def test_items_coefficients_and_json_round_trip(terms):
     f = SymE(terms)
