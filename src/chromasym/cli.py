@@ -210,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="also write the JSON report to this file")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
+    parser.commands = sub.choices  # name -> subcommand parser, read by main
     return parser
 
 
@@ -217,12 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     # Built on the first main() call, not at import.  parse_args keeps no
     # state in the parser, and the help formatter reads the terminal width
-    # each time help is printed, so one parser serves every call.
+    # each time help is printed, so one parser, with its subcommand parsers
+    # in parser.commands, serves every call.
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code.
+
+    A call that starts with a subcommand's name is parsed once, by that
+    subcommand's parser, so a usage error after it prints that subcommand's
+    usage.  Anything else (no arguments, -h, an unknown command) goes to the
+    top-level parser.  Usage errors and help exit through SystemExit.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError) as exc:

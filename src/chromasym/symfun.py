@@ -178,6 +178,8 @@ class SymE:
                 {key: c * other for key, c in self._terms.items()} if other else {})
         if not isinstance(other, SymE):
             return NotImplemented
+        if len(self._terms) > len(other._terms):  # fewer terms in the outer loop
+            self, other = other, self
         return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__

@@ -769,3 +769,37 @@ def test_argv_fuzz_exit_codes_and_repeatability(argvs):
     for argv, result in zip(reversed(argvs), reversed(first)):
         assert _call(argv) == result, argv
         assert _call(argv, fresh_parser=True) == result, argv
+
+
+# --- dispatch: a call is parsed once, by its subcommand's parser ------------
+
+def test_a_subcommand_call_skips_the_top_level_parser():
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand call")
+
+    with mock.patch.object(cli._parser(), "parse_known_args", refuse):
+        assert _call(["csf", "--graph", "path:3"]) == (0, "3*e[3] + e[2,1]\n", "")
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    ([], 2, "usage: chromasym [-h] {"),
+    (["--help"], 0, "usage: chromasym [-h] {"),
+    (["-h", "csf"], 0, "usage: chromasym [-h] {"),
+    (["bogus"], 2, "usage: chromasym [-h] {"),
+    (["csf", "--help"], 0, "usage: chromasym csf [-h]"),
+    (["csf", "--graph", "path:3", "extra"], 2, "usage: chromasym csf [-h]"),
+])
+def test_usage_comes_from_the_parser_that_parsed_the_call(argv, code, usage):
+    got, out, err = _call(argv)
+    assert got == code
+    printed = out if code == 0 else err  # help goes to stdout, usage errors to stderr
+    assert printed.startswith(usage), printed
+    assert (err if code == 0 else out) == ""
+    if argv[-1:] == ["extra"]:
+        assert err.endswith("chromasym csf: error: unrecognized arguments: extra\n")
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["chromasym", "csf", "--graph", "path:3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "3*e[3] + e[2,1]\n"

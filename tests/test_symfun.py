@@ -347,6 +347,17 @@ def test_add_and_sub_of_lopsided_operands(operands, big_first):
     assert (list(a.items()), list(b.items())) == before
 
 
+@pytest.mark.parametrize("lam, c", [((1,), 1), ((3, 1), -2), ((12,), 5), ((), 7)])
+def test_products_of_lopsided_operands_in_either_order(lam, c):
+    big_terms = {mu: (-1) ** i * (i + 1) for i, mu in enumerate(_FIRST_PARTITIONS)}
+    big, small = SymE(big_terms), e_term(lam, c)
+    assert len(big) >= 100
+    want = reference_mul(big_terms, {lam: c})
+    assert dict((small * big).items()) == want
+    assert dict((big * small).items()) == want
+    assert dict(big.items()) == big_terms and dict(small.items()) == {lam: c}
+
+
 def test_multiplying_by_one_returns_the_value_itself():
     f = e(2) * 3 - e_term((1, 1))
     assert f * 1 is f and 1 * f is f
