@@ -34,38 +34,47 @@ from .symfun import SymE, _memo, _sum_of_products, e, e_term
 # the recurrence engine, paths and cycles
 
 
+_ONE = SymE.one()  # shared: SymE values are immutable
+
 # key -> {n: X_n} for the recurrence named key: a family's table name, or
 # (name, ell) for the interior twin.  clear_caches() empties this outer dict,
 # so no code keeps an inner dict past one call.
 _recurrences: dict = _memo()
 
 
-def _recur(key, n: int, seeds: Callable[[], dict], first: int,
-           drive: Callable[[int], SymE]) -> SymE:
+def _recur(key, n: int, seeds: dict, first: int,
+           drive: Callable[[], list[tuple[SymE, int, tuple[int, ...]]]]) -> SymE:
     """X_n of the recurrence X_m = drive(m) + sum_{j=2}^{m-first} (j-1) e_j X_{m-j}
-    for m >= first; seeds() gives the values the rule does not give.
+    for m >= first; seeds holds the values the rule does not give.
 
+    drive() gives the drive as rows (c, s, w), each the term w(i) c e_i at
+    the part i = m + s: c is a SymE factor and w an integer polynomial in i,
+    lowest power first, the weight format of powerseries.WEIGHTED, evaluated
+    by ps.weight_at as in ps.e_weighted.  It is called only when a value is
+    missing.
     Every recurrence of the paper has this shape: the sum comes from the
     shared denominator D = 1 - sum_j (j-1) e_j z^j, and its weights j - 1
     are nonnegative.
     """
     memo = _recurrences.get(key)
     if memo is None:
-        memo = _recurrences[key] = seeds()
+        memo = _recurrences[key] = dict(seeds)
     got = memo.get(n)
     if got is not None:
         return got
+    rows = drive()
     for m in range(first, n + 1):
         if m not in memo:
-            memo[m] = drive(m) + _sum_of_products((e_term((j,), j - 1), memo[m - j])
-                                                  for j in range(2, m - first + 1))
+            memo[m] = _sum_of_products(
+                [*((e_term((j,), j - 1), memo[m - j]) for j in range(2, m - first + 1)),
+                 *((e_term((m + s,), ps.weight_at(w, m + s)), c) for c, s, w in rows)])
     return memo[n]
 
 
 def path_seq(n: int) -> SymE:
     """X of the n-vertex path: n e_n + sum_{j=2}^{n-1} (j-1) e_j X_{P_{n-j}}."""
     FAMILIES["path"].check("path", n, None)
-    return _recur("path", n, lambda: {0: SymE.one()}, 1, lambda m: e(m) * m)
+    return _recur("path", n, {0: _ONE}, 1, lambda: [(_ONE, 0, (0, 1))])
 
 
 def cycle_seq(n: int) -> SymE:
@@ -74,7 +83,7 @@ def cycle_seq(n: int) -> SymE:
     The rule gives 0 and 2e_2 at n = 1, 2; the engine's j = n-1 term is 0.
     """
     FAMILIES["cycle"].check("cycle", n, None)
-    return _recur("cycle", n, dict, 1, lambda m: e(m) * (m * (m - 1)))
+    return _recur("cycle", n, {}, 1, lambda: [(_ONE, 0, (0, -1, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +112,6 @@ def leaf_twin_gf_half(trunc: int) -> Series:
 def leaf_twin_gf_half_alt(trunc: int) -> Series:
     """Denominator-free half gf: path_gf * G_{>=3} + sum_{i>=2} e_i z^i."""
     return ps.path_gf(trunc) * ps.weighted("G", trunc, lo=3) + ps.weighted("E", trunc, lo=2)
-
-
-def _leaf_twin_drive(m: int) -> SymE:
-    return (e(m + 1) * (2 * (m + 1)) + e(m) * e(1) * (2 * (m - 1))
-            + e(m - 1) * e(2) * (2 * (m - 3)))
 
 
 # twin_path_leaf, twin_path_both and twin_cycle stay as public entry points
@@ -187,16 +191,6 @@ def both_leaves_gf_quarter_alt(trunc: int) -> Series:
             + g3 * ps.weighted("E", trunc, lo=3)
             + Series.monomial(e(1), 1, trunc) * ps.weighted("G", trunc, lo=4)
             + Series.monomial(e(2), 2, trunc) * ps.e_weighted(trunc, 3, (-2, 1)))
-
-
-def _both_leaves_drive(m: int) -> SymE:
-    return (e(m + 2) * (4 * (m + 2))
-            + e(m + 1) * e(1) * (4 * m)
-            + e(m - 1) * e(3) * (12 * (m - 2))
-            + e(m - 2) * e(3) * e(1) * (8 * (m - 3))
-            + e(m - 2) * e(4) * (16 * (m - 3))
-            - e(2) * (e(m) * 8 + e(m - 2) * e(2) * (4 * (m - 4))
-                      + e(m - 1) * e(1) * (4 * (m - 2))))
 
 
 def twin_path_both(n: int, method: Optional[str] = None) -> SymE:
@@ -347,15 +341,12 @@ def _interior_identity(n: int, ell: int) -> SymE:
             - p(ell + 1) * p(n - ell) * 2)
 
 
-def _interior_drive(m: int, ell: int) -> SymE:
-    acc = e(m + 1) * (4 * (m + 1)) + e(1) * e(m) * (2 * m)
-    for j in range(m - ell + 2, m):
-        acc = acc + e(1) * e(j) * (2 * (j - 1)) * path_seq(m - j)
-    for j in range(m - ell + 3, m + 1):
-        acc = acc + e(j) * (4 * (j - 1)) * path_seq(m + 1 - j)
-    for j in range(m - ell + 1, m - ell + 3):
-        acc = acc + e(j) * (2 * (j - 2)) * path_seq(m + 1 - j)
-    return acc + e(m - ell) * (m - ell - 2) * twin_path_leaf(ell)
+def _interior_rows(ell: int) -> list[tuple[SymE, int, tuple[int, ...]]]:
+    rows = [(_ONE, 1, (0, 4)), (e(1), 0, (0, 2)),
+            (twin_path_leaf(ell, "recurrence"), -ell, (-2, 1))]
+    for k in range(1, ell - 1):
+        rows += [(e(1) * path_seq(k), -k, (-2, 2)), (path_seq(k), 1 - k, (-4, 4))]
+    return rows + [(path_seq(k), 1 - k, (-4, 2)) for k in (ell - 1, ell)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +384,6 @@ def twin_cycle_gf_half(trunc: int) -> Series:
            + Series.monomial(e(2), 2, trunc)
            * ps.e_weighted(trunc, 3, (2, -6, 2)))
     return ps.weighted("F2", trunc, lo=4) + num / ps.weighted("D", trunc)
-
-
-def _twin_cycle_drive(m: int) -> SymE:
-    return (e(m + 1) * (2 * (m + 1) * (2 * m - 3))
-            + e(m) * e(1) * (2 * (m - 1) * (m - 3))
-            - e(2) * e(m - 1) * (2 * (m - 3)))
 
 
 def twin_cycle(n: int, method: Optional[str] = None) -> SymE:
@@ -442,21 +427,6 @@ def twin_cycle_coeff(lam) -> int:
     total += sum((2 * c * c - 6 * c + 2) * epsilon_minus(lam, c, 2)
                  for c in support(lam) if c >= 3)
     return total
-
-
-# ---------------------------------------------------------------------------
-# moose graphs
-
-
-# The moose recurrence
-# X_n = sum_{j=2}^{n-2} (j-1) e_j X_{n-j} + (n+2)(n-1) e_{n+2}
-#       + 2(n^2-n-1) e_1 e_{n+1} + (n-1)(n-2) e_1^2 e_n + 2 e_2 e_n
-# holds from n = 2 on, where the graph degenerates to the 4-path.
-def _moose_drive(m: int) -> SymE:
-    return (e(m + 2) * ((m + 2) * (m - 1))
-            + e(1) * e(m + 1) * (2 * (m * m - m - 1))
-            + e_term((1, 1)) * e(m) * ((m - 1) * (m - 2))
-            + e(2) * e(m) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +514,10 @@ class FamilySpec:
 
 # The routes call this module's functions by name (path_seq, cycle_seq, the gf
 # builders, and family_value for a value of another family), so a wrapper
-# installed on the module (a tracer or profiler) sees every call.  The
-# auxiliary families flagpole, triangle-path, dgraph and tadpole carry no
-# e-positivity claim: the stars among the flagpoles are genuine
+# installed on the module (a tracer or profiler) sees every call.  A
+# recurrence route's seeds are a default argument, built once, which _recur
+# copies.  The auxiliary families flagpole, triangle-path, dgraph and tadpole
+# carry no e-positivity claim: the stars among the flagpoles are genuine
 # counterexamples.
 FAMILIES: dict[str, FamilySpec] = {
     "path": FamilySpec(
@@ -571,8 +542,9 @@ FAMILIES: dict[str, FamilySpec] = {
         lambda n, ell: twin(path(n), n - 1),
         {"identity": lambda n, ell: path_seq(n + 1) * 2 - e(2) * path_seq(n - 1) * 2,
          "gf": "half",
-         "recurrence": lambda n, ell: _recur("twin-path-leaf", n, lambda: {1: e(2) * 2},
-                                             2, _leaf_twin_drive)},
+         "recurrence": lambda n, ell, seeds={1: e(2) * 2}: _recur(
+             "twin-path-leaf", n, seeds, 2,
+             lambda: [(_ONE, 1, (0, 2)), (e(1), 0, (-2, 2)), (e(2), -1, (-4, 2))])},
         min_n=1, extra=1,
         gfs={"half": (2, lambda N, ell: leaf_twin_gf_half(N)),
              "half-alt": (2, lambda N, ell: leaf_twin_gf_half_alt(N)),
@@ -588,8 +560,11 @@ FAMILIES: dict[str, FamilySpec] = {
             path_seq(n + 2) - e(2) * path_seq(n) * 2
             + e_term((2, 2)) * path_seq(n - 2)) * 4,
          "gf": "quarter",
-         "recurrence": lambda n, ell: _recur("twin-path-both", n, lambda: {2: e(4) * 24},
-                                             3, _both_leaves_drive)},
+         "recurrence": lambda n, ell, seeds={2: e(4) * 24}: _recur(
+             "twin-path-both", n, seeds, 3, lambda: [
+                 (_ONE, 2, (0, 4)), (e(1), 1, (-4, 4)), (e(3), -1, (-12, 12)),
+                 (e_term((3, 1)), -2, (-8, 8)), (e(4), -2, (-16, 16)), (e(2), 0, (-8,)),
+                 (e_term((2, 2)), -2, (8, -4)), (e_term((2, 1)), -1, (4, -4))])},
         min_n=2, extra=2,
         gfs={"quarter": (4, lambda N, ell: both_leaves_gf_quarter(N)),
              "quarter-alt": (4, lambda N, ell: both_leaves_gf_quarter_alt(N)),
@@ -603,8 +578,8 @@ FAMILIES: dict[str, FamilySpec] = {
         {"identity": lambda n, ell: _interior_identity(n, ell),
          "gf": "full",
          "epos-gf": "epos-half",
-         "recurrence": lambda n, ell: _recur(("twin-path-interior", ell), n, dict,
-                                             ell + 1, lambda m: _interior_drive(m, ell))},
+         "recurrence": lambda n, ell: _recur(("twin-path-interior", ell), n, {}, ell + 1,
+                                             lambda: _interior_rows(ell))},
         min_n=3, extra=1, ells=lambda n: range(2, n),
         gfs={"epos-half": (2, lambda N, ell: interior_gf_epos_half(ell, N)),
              "full": (1, lambda N, ell: interior_gf(ell, N))}, gf_from=3,
@@ -624,8 +599,9 @@ FAMILIES: dict[str, FamilySpec] = {
             cycle_seq(n + 1) * 4 + e(1) * cycle_seq(n) * 2
             - path_seq(n + 1) * 6 + e(2) * path_seq(n - 1) * 2),
          "gf": "half",
-         "recurrence": lambda n, ell: _recur("twin-cycle", n, lambda: {1: e(2) * 2},
-                                             2, _twin_cycle_drive)},
+         "recurrence": lambda n, ell, seeds={1: e(2) * 2}: _recur(
+             "twin-cycle", n, seeds, 2,
+             lambda: [(_ONE, 1, (0, -10, 4)), (e(1), 0, (6, -8, 2)), (e(2), -1, (4, -2))])},
         min_n=1, extra=1, pinned_below=3,
         gfs={"half": (2, lambda N, ell: twin_cycle_gf_half(N)),
              "half-rewrite": (2, lambda N, ell: twin_cycle_gf_half_rewrite(N)),
@@ -637,7 +613,9 @@ FAMILIES: dict[str, FamilySpec] = {
     "moose": FamilySpec(
         lambda n, ell: Graph(n + 2, [*(cycle(n) if n > 2 else path(2)).edges,
                                      (0, n), (1, n + 1)]),
-        {"recurrence": lambda n, ell: _recur("moose", n, dict, 2, _moose_drive)},
+        {"recurrence": lambda n, ell: _recur("moose", n, {}, 2, lambda: [
+            (_ONE, 2, (0, -3, 1)), (e(1), 1, (2, -6, 2)), (e_term((1, 1)), 0, (2, -3, 1)),
+            (e(2), 0, (2,))])},
         min_n=2, extra=2, e_positive=True),
     # the pendant n at spine position ell
     "flagpole": FamilySpec(

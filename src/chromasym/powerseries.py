@@ -144,8 +144,9 @@ def invert_unit(f: Series) -> Series:
 
 # Every named series is a row (lo, weight): sum_{i>=lo} weight(i) e_i z^i,
 # the weight an integer polynomial in i given by its coefficients, lowest
-# power first.  D = E - zE' = 1 - G is the shared gf denominator, G the
-# geometric kernel of 1/D.
+# power first, and read by weight_at.  The recurrence drives of families
+# share the weight format.  D = E - zE' = 1 - G is the shared gf denominator,
+# G the geometric kernel of 1/D.
 WEIGHTED = {
     "E": (0, (1,)),
     "D": (0, (1, -1)),
@@ -157,16 +158,21 @@ WEIGHTED = {
 }
 
 
+def weight_at(weight: tuple[int, ...], i: int) -> int:
+    """The polynomial weight(i) = sum_j weight[j] i^j, by Horner's rule."""
+    w = 0
+    for c in reversed(weight):
+        w = w * i + c
+    return w
+
+
 def e_weighted(trunc: int, lo: int, weight: tuple[int, ...],
                hi: Optional[int] = None) -> Series:
-    """sum_{i=lo}^{min(hi, trunc)} weight(i) e_i z^i, for the polynomial
-    weight(i) = sum_j weight[j] i^j."""
+    """sum_{i=lo}^{min(hi, trunc)} weight(i) e_i z^i."""
     top = trunc if hi is None else min(hi, trunc)
     coeffs = [SymE.zero()] * (trunc + 1)
     for i in range(max(lo, 0), top + 1):
-        w = 0
-        for c in reversed(weight):
-            w = w * i + c
+        w = weight_at(weight, i)
         if w:
             coeffs[i] = e(i) * w
     return Series(coeffs, trunc)

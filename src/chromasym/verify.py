@@ -280,6 +280,8 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
     for name, spec in fam.FAMILIES.items():
         if not spec.gfs:
             continue
+        # every further route but a gf one, which reads a form checked here
+        routes = [r for r, how in [*spec.routes.items()][1:] if not isinstance(how, str)]
         for ell in GF_ELLS if spec.ells else (None,):
             label = name if ell is None else f"{name}-ell{ell}"
             # built here, not through ps.deepest: keeping every form doubled the deep run's peak RSS
@@ -303,6 +305,8 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                     value = fam.family_value(name, n, ell)
                     for form, (scale, series) in forms.items():
                         g.check(f"{form}:n={n}", series.extract(n + spec.extra) * scale, value)
+                    for route in routes:
+                        g.check(f"{route}:n={n}", fam.family_value(name, n, ell, route), value)
 
     with col.group("grading") as g:
         for name in ps.WEIGHTED:

@@ -348,22 +348,110 @@ def test_epos_forms_are_written_as_evaluated(monkeypatch, name):
 
 
 def test_recurrences_do_not_consult_the_identities(monkeypatch):
-    # the interior recurrence seeds nothing and the both-leaves one only K_4,
-    # so on cold memos neither reaches its family's identity
-    interior = {(n, ell): fam.family_value("twin-path-interior", n, ell, "identity")
-                for n in range(3, 13) for ell in range(2, n)}
-    both = {n: fam.twin_path_both(n, "identity") for n in range(2, 13)}
+    # on cold memos no recurrence reaches an identity route: the seeds pin what
+    # the rule does not give, and the interior drive reads the leaf twin's recurrence
+    members = [(name, n, ell) for name, spec in fam.FAMILIES.items() if "recurrence" in spec.routes
+               for n in range(spec.min_n, 13) for ell in (spec.ells(n) if spec.ells else (None,))]
+    want = {member: fam.family_value(*member) for member in members}
 
     def refuse(*args):
         raise AssertionError("a recurrence consulted an identity")
 
     chromasym.clear_caches()
     monkeypatch.setattr(fam, "_interior_identity", refuse)
-    monkeypatch.setitem(fam.FAMILIES["twin-path-both"].routes, "identity", refuse)
-    for (n, ell), want in interior.items():
-        assert fam.family_value("twin-path-interior", n, ell, "recurrence") == want, (n, ell)
-    for n, want in both.items():
-        assert fam.twin_path_both(n, "recurrence") == want, n
+    for name in ("twin-path-leaf", "twin-path-both", "twin-cycle"):
+        monkeypatch.setitem(fam.FAMILIES[name].routes, "identity", refuse)
+    for (name, n, ell), value in want.items():
+        assert fam.family_value(name, n, ell, "recurrence") == value, (name, n, ell)
+
+
+@pytest.fixture
+def cold_memos():
+    chromasym.clear_caches()
+    yield
+    chromasym.clear_caches()  # a bent recurrence leaves wrong values in its memo
+
+
+# every recurrence: one per family that has one, the interior twin's at ell 2..12
+RECURRENCES = [(name, ell) for name, spec in fam.FAMILIES.items() if "recurrence" in spec.routes
+               for ell in (range(2, 13) if spec.ells else (None,))]
+
+
+def _drive_rows(monkeypatch, name, ell):
+    """(key, first, rows) of the recurrence route of name at ell, on cold memos."""
+    calls = []
+    recur = fam._recur
+
+    def recording(key, n, seeds, first, drive):
+        calls.append((key, first, drive))
+        return recur(key, n, seeds, first, drive)
+
+    chromasym.clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(fam, "_recur", recording)
+        fam.family_value(name, ell + 1 if ell else fam.FAMILIES[name].min_n, ell, "recurrence")
+    key, first, drive = calls[0]  # the route's own recurrence comes first
+    return key, first, drive()
+
+
+def _independent(name, n, ell):
+    if name in ("path", "cycle"):
+        return (ps.path_gf if name == "path" else ps.cycle_gf)(n).extract(n)
+    if name == "moose":  # its only route
+        return csf(family(name, n))
+    return fam.family_value(name, n, ell, "identity")
+
+
+@pytest.mark.parametrize("name,ell", RECURRENCES)
+def test_every_drive_row_is_graded(monkeypatch, cold_memos, name, ell):
+    # the row c e_{m+s} lands in X_m, of degree m + extra
+    _, _, rows = _drive_rows(monkeypatch, name, ell)
+    assert rows
+    for c, s, w in rows:
+        assert c.homogeneous_degree() + s == fam.FAMILIES[name].extra, (c, s, w)
+
+
+@pytest.mark.parametrize("name,ell", RECURRENCES)
+def test_every_drive_row_carries_weight(monkeypatch, cold_memos, name, ell):
+    # one more in any row's constant coefficient moves the recurrence off an
+    # independent route within three members
+    target, first, rows = _drive_rows(monkeypatch, name, ell)
+    members = range(first, first + 3)
+    want = [_independent(name, n, ell) for n in members]
+    recur = fam._recur
+
+    def values(drive_rows):
+        def bending(key, n, seeds, first, drive):
+            return recur(key, n, seeds, first, (lambda: drive_rows) if key == target else drive)
+
+        chromasym.clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(fam, "_recur", bending)
+            return [fam.family_value(name, n, ell, "recurrence") for n in members]
+
+    assert values(rows) == want
+    for r, (c, s, w) in enumerate(rows):
+        assert values([*rows[:r], (c, s, (w[0] + 1, *w[1:])), *rows[r + 1:]]) != want, (c, s, w)
+
+
+def test_the_series_suite_checks_each_recurrence_as_deep_as_the_forms(monkeypatch, cold_memos):
+    # a leaf-twin drive row weighted (i-1)(i-2)...(i-10) at i = m + 1 is wrong
+    # only from m = 10 on: past the member sweep's n <= 8, inside the gf forms'
+    # n <= 11
+    late = (1,)
+    for t in range(1, 11):  # times (i - t), lowest power first
+        late = tuple(a - t * b for a, b in zip((0, *late), (*late, 0)))
+    recur = fam._recur
+
+    def bent(key, n, seeds, first, drive):
+        if key == "twin-path-leaf":
+            return recur(key, n, seeds, first, lambda: [*drive(), (SymE.one(), 1, late)])
+        return recur(key, n, seeds, first, drive)
+
+    monkeypatch.setattr(fam, "_recur", bent)
+    assert all(r.status == "pass" for r in verify.family_sweep_check(9))
+    assert [r.case for r in verify.series_identities_check(12) if r.status != "pass"] == [
+        "twin-path-leaf-gf:recurrence:n=10", "twin-path-leaf-gf:recurrence:n=11"]
 
 
 def test_g_poly_cancellation():
