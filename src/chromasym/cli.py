@@ -70,23 +70,16 @@ def _cmd_family(args) -> int:
     if args.n > MAX_DEPTH:
         raise ValueError(f"--n must be <= {MAX_DEPTH}, got {args.n}")
     name = args.name
-    if families._canon(args.method) == "all":
-        methods = families.methods_for(name)
-        values = {m: families.family_value(name, args.n, args.ell, m)
-                  for m in methods}
-        first = next(iter(values.values()))
-        disagree = [m for m, v in values.items() if v != first]
-        if disagree:
-            print(f"method disagreement: {disagree}", file=sys.stderr)
-            return 1
-        _print_value(first, args.json,
-                     {"family": name, "n": args.n, "ell": args.ell,
-                      "methods": list(methods)})
-        return 0
-    value = families.family_value(name, args.n, args.ell, args.method)
-    _print_value(value, args.json,
-                 {"family": name, "n": args.n, "ell": args.ell,
-                  "method": args.method})
+    every = families._canon(args.method) == "all"
+    methods = families.methods_for(name) if every else (args.method,)
+    values = {m: families.family_value(name, args.n, args.ell, m) for m in methods}
+    first = next(iter(values.values()))
+    disagree = [m for m, v in values.items() if v != first]
+    if disagree:
+        print(f"method disagreement: {disagree}", file=sys.stderr)
+        return 1
+    shown = {"methods": list(methods)} if every else {"method": args.method}  # as typed
+    _print_value(first, args.json, {"family": name, "n": args.n, "ell": args.ell, **shown})
     return 0
 
 

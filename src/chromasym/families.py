@@ -473,8 +473,8 @@ class FamilySpec:
     pinned_below the value is a pinned convention that no simple graph
     realizes.  routes maps each method to the f(n, ell) that computes a
     member, the first being the default.  gfs maps each name of an equal
-    form of the generating function, the e-positive one first, to
-    (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
+    form of the generating function (an e-positive one first if e_positive)
+    to (scale, f(trunc, ell)): for n >= gf_from, the z^(n+extra) coefficient of
     scale * f is the member's value, and f is zero below the first member's
     z^(n+extra).  A route may instead name a gfs form: family_value then
     extracts that coefficient from f(n + extra, ell), cut from the deepest

@@ -1,9 +1,9 @@
 """Verification sweeps: every identity, fixture, and cross-check in one place.
 
-Each check returns a list of CaseResult records.  The CLI `verify`
-subcommand groups them into suites; the acceptance test module runs the same
-functions with the pinned bounds.  All sweeps are deterministic (the ring-law
-sampler takes an explicit seed).
+Each check returns a list of CaseResult records with an empty suite; the
+CLI `verify` subcommand runs them through run_suites, which stamps each with
+its suite from SUITES.  All sweeps are deterministic (the ring-law sampler
+takes an explicit seed).
 """
 
 from __future__ import annotations
@@ -50,20 +50,11 @@ class CaseResult:
         return asdict(self)
 
 
-class Collector:
-    """Accumulates atomic comparisons and coalesces clean groups."""
-
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.results: list[CaseResult] = []
-
-    def group(self, case: str):
-        return _Group(self, case)
-
-
 class _Group:
-    def __init__(self, collector: Collector, case: str):
-        self.collector = collector
+    """Appends one group's failed comparisons to results, or one pass row."""
+
+    def __init__(self, results: list[CaseResult], case: str):
+        self.results = results
         self.case = case
         self.total = 0
         self.failures: list[CaseResult] = []
@@ -72,14 +63,14 @@ class _Group:
         self.total += 1
         if actual != expected:
             self.failures.append(CaseResult(
-                self.collector.suite, f"{self.case}:{label}", "fail",
+                "", f"{self.case}:{label}", "fail",
                 repr(expected), repr(actual)))
 
     def check_true(self, label: str, ok: bool, detail: str = "") -> None:
         self.total += 1
         if not ok:
             self.failures.append(CaseResult(
-                self.collector.suite, f"{self.case}:{label}", "fail",
+                "", f"{self.case}:{label}", "fail",
                 "true", detail or "false"))
 
     def __enter__(self):
@@ -89,11 +80,10 @@ class _Group:
         if exc_type is not None:
             return False
         if self.failures:
-            self.collector.results.extend(self.failures)
+            self.results.extend(self.failures)
         else:
             note = f"{self.total} checks"
-            self.collector.results.append(
-                CaseResult(self.collector.suite, self.case, "pass", note, note))
+            self.results.append(CaseResult("", self.case, "pass", note, note))
         return False
 
 
@@ -102,17 +92,18 @@ class _Group:
 
 
 def epsilon_table_check() -> list[CaseResult]:
-    col = Collector("partitions")
-    with col.group("epsilon-table") as g:
+    results: list[CaseResult] = []
+    with _Group(results, "epsilon-table") as g:
         for lam, want in EPSILON_TABLE.items():
             g.check(str(lam), epsilon(lam), want)
-    return col.results
+    return results
 
 
 def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
-    col = Collector("partitions")
-    with (col.group("epsilon-closed-forms") as g, col.group("epsilon-scaling") as scaling,
-          col.group("epsilon-removal") as removal):
+    results: list[CaseResult] = []
+    with (_Group(results, "epsilon-closed-forms") as g,
+          _Group(results, "epsilon-scaling") as scaling,
+          _Group(results, "epsilon-removal") as removal):
         for n in range(1, 41):
             g.check(f"single-part-{n}", epsilon((n,)), n - 1)
         for k in range(1, 13):
@@ -132,7 +123,7 @@ def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
                     scaling.check(f"{lam},j={j}",
                                   (j - 1) * epsilon_minus(lam, j) * len(lam),
                                   mult[j] * epsilon(lam))
-    with col.group("epsilon-union") as g:
+    with _Group(results, "epsilon-union") as g:
         for total in range(0, EPSILON_UNION_MAX + 1):
             for n in range(0, total + 1):
                 for lam in partitions_of(n):
@@ -145,7 +136,7 @@ def epsilon_properties_check(max_size: int = 12) -> list[CaseResult]:
                         for j, m in mult.items():
                             rhs *= comb(m, mlam.get(j, 0))
                         g.check(f"{lam}|{mu}", lhs, rhs)
-    return col.results
+    return results
 
 
 def _partition_count_oracle(n: int) -> int:
@@ -162,15 +153,15 @@ def _partition_count_oracle(n: int) -> int:
 
 
 def enumeration_check(max_size: int = 12) -> list[CaseResult]:
-    col = Collector("partitions")
-    with col.group("enumeration") as g:
+    results: list[CaseResult] = []
+    with _Group(results, "enumeration") as g:
         for n in range(0, max_size + 1):
             plist = partitions_of(n)
             g.check(f"count-{n}", len(plist), _partition_count_oracle(n))
             g.check(f"distinct-{n}", len(set(plist)), len(plist))
             g.check(f"sorted-revlex-{n}", plist, sorted(plist, reverse=True))
             g.check_true(f"sums-{n}", all(sum(lam) == n for lam in plist))
-    return col.results
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +179,8 @@ def _random_syme(rng: random.Random) -> SymE:
 
 def ring_laws_check(seed: int = 0) -> list[CaseResult]:
     rng = random.Random(seed)
-    col = Collector("series")
-    with col.group("ring-laws") as g:
+    results: list[CaseResult] = []
+    with _Group(results, "ring-laws") as g:
         for i in range(RING_LAW_ROUNDS):
             a, b, c = (_random_syme(rng) for _ in range(3))
             g.check(f"assoc-add-{i}", (a + b) + c, a + (b + c))
@@ -202,12 +193,12 @@ def ring_laws_check(seed: int = 0) -> list[CaseResult]:
                        for da, db in [(sum(la), sum(lb))]}
             g.check_true(f"grading-{i}",
                          all(sum(lam) in allowed for lam, _ in prod.items()))
-    return col.results
+    return results
 
 
 def newton_check() -> list[CaseResult]:
-    col = Collector("series")
-    with col.group("newton-powersums") as g:
+    results: list[CaseResult] = []
+    with _Group(results, "newton-powersums") as g:
         from .symfun import power_sum_to_e
         for n in range(1, NEWTON_MAX_N + 1):
             points = [tuple(range(1, n + 1)),
@@ -217,7 +208,7 @@ def newton_check() -> list[CaseResult]:
                 expanded = power_sum_to_e(n).eval_elementary(xs)
                 direct = sum(x ** n for x in xs)
                 g.check(f"p{n}@{xs}", expanded, direct)
-    return col.results
+    return results
 
 
 # the two-parameter families' generating functions are checked at these ell
@@ -225,7 +216,7 @@ GF_ELLS = range(2, 7)
 
 
 def series_identities_check(trunc: int = 12) -> list[CaseResult]:
-    col = Collector("series")
+    results: list[CaseResult] = []
     N = trunc
     one = Series.one(N)
     e1z = Series.monomial(e(1), 1, N)
@@ -236,18 +227,18 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
     xc = ps.cycle_gf(N)
     z2e = ps.e_weighted(N, 2, (0, -1, 1))  # z^2 E''
 
-    with col.group("gf-vs-denominator") as g:
+    with _Group(results, "gf-vs-denominator") as g:
         g.check("path*D=E", xp * d, ps.weighted("E", N))
         g.check("cycle*D=z2E''", xc * d, z2e)
         g.check("invD*D=1", inv_d * d, one)
 
-    with col.group("inverse-denominator-epsilon") as g:
+    with _Group(results, "inverse-denominator-epsilon") as g:
         for n in range(0, min(10, N) + 1):
             coeff = inv_d.extract(n)
             for lam in partitions_of(n):
                 g.check(f"eps-{lam}", coeff.coefficient(lam), epsilon(lam))
 
-    with col.group("epos-combos") as g:
+    with _Group(results, "epos-combos") as g:
         zep = ps.e_weighted(N, 1, (0, 1))  # z E'
         g.check("combo-1", z2e - zep + e1z, ps.weighted("F1", N))
         g.check("combo-2", z2e * 2 - zep * 3 + e1z * 3 + e2z2 * 2, ps.weighted("F2", N))
@@ -257,14 +248,14 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             g.check_true(f"combo-{i}-epos",
                          all(c.is_e_positive() for c in ps.weighted(f"F{i}", N).coeffs))
 
-    with col.group("epos-numerators") as g:
+    with _Group(results, "epos-numerators") as g:
         g.check("path-minus-head", (xp - one - e1z) * d,
                 ps.weighted("K", N) + e1z * ps.weighted("G", N))
         g.check("cycle-combination",
                 ((one + e1z) * xc - xp + one + e1z) * d,
                 (one + e1z) * ps.weighted("F1", N) + e1z * (ps.weighted("E", N) - one - e1z))
 
-    with col.group("truncation-splits") as g:
+    with _Group(results, "truncation-splits") as g:
         for k in (2, 3, 4):
             head, tail = ps.weighted("G", N, hi=k), ps.weighted("G", N, lo=k + 1)
             lhs = (one - head) * inv_d
@@ -272,7 +263,7 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             g.check(f"path-k{k}", xp * (one - head), ps.weighted("E", N) + xp * tail)
             g.check(f"split-k{k}", head + tail, ps.weighted("G", N))
 
-    with col.group("interior-f-forms") as g:
+    with _Group(results, "interior-f-forms") as g:
         for ell in range(2, 9):
             g.check(f"f{ell}-alt", fam.f_poly(ell, ell + 2),
                     fam.f_poly_alt(ell, ell + 2))
@@ -290,17 +281,18 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
             members = [n for n in range(spec.gf_from, N - spec.extra + 1)
                        if ell is None or ell in spec.ells(n)]
             low = members[0] + spec.extra if members else N + 1  # each form is 0 below z^low
-            with col.group(f"{label}-gf") as g:
+            with _Group(results, f"{label}-gf") as g:
                 for form, (scale, series) in forms.items():
                     g.check_true(f"{form}-graded", series.graded_ok())
                     g.check(f"{form}-zero-below-z^{low}", series.coeffs[:low],
                             (SymE.zero(),) * low)
                     if form != first:
                         g.check(f"{form}-vs-{first}", series * scale, first_series * first_scale)
-                for degree, coeff in enumerate(first_series.coeffs):
-                    witness = coeff.negative_term()
-                    g.check_true(f"{first}-epos-z^{degree}", witness is None,
-                                 f"negative term {witness}")
+                if spec.e_positive:
+                    for degree, coeff in enumerate(first_series.coeffs):
+                        witness = coeff.negative_term()
+                        g.check_true(f"{first}-epos-z^{degree}", witness is None,
+                                     f"negative term {witness}")
                 for n in members:
                     value = fam.family_value(name, n, ell)
                     for form, (scale, series) in forms.items():
@@ -308,11 +300,11 @@ def series_identities_check(trunc: int = 12) -> list[CaseResult]:
                     for route in routes:
                         g.check(f"{route}:n={n}", fam.family_value(name, n, ell, route), value)
 
-    with col.group("grading") as g:
+    with _Group(results, "grading") as g:
         for name in ps.WEIGHTED:
             g.check_true(name, ps.weighted(name, N).graded_ok())
         g.check_true("1/D", inv_d.graded_ok())
-    return col.results
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +324,9 @@ def family_instances(max_vertices: int = 9):
 
 def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
     """Method and oracle agreement, and e-positivity where claimed, of every member."""
-    col = Collector("families")
-    with col.group("method-and-oracle-agreement") as g, col.group("family-values-epos") as pos:
+    results: list[CaseResult] = []
+    with (_Group(results, "method-and-oracle-agreement") as g,
+          _Group(results, "family-values-epos") as pos):
         for name, n, ell, label, graph in family_instances(max_vertices):
             spec = fam.FAMILIES[name]
             values = {m: fam.family_value(name, n, ell, m) for m in spec.routes}
@@ -345,7 +338,7 @@ def family_sweep_check(max_vertices: int = 9) -> list[CaseResult]:
             if spec.e_positive:
                 witness = first.negative_term()
                 pos.check_true(label, witness is None, f"negative term {witness}")
-    return col.results
+    return results
 
 
 def printed_specials(max_size: int):
@@ -389,14 +382,14 @@ def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
     """One group per family with coefficient formulas, up to size top =
     max(max_size, SPECIALS_MAX): every form against the value's e_lam
     coefficients, and each printed special on the first form and on the value."""
-    col = Collector("families")
+    results: list[CaseResult] = []
     top = max(max_size, SPECIALS_MAX)
     rows = list(printed_specials(top))
     value = cache(fam.family_value)
     for name, spec in fam.FAMILIES.items():
         if not spec.coeffs:
             continue
-        with col.group(f"{name}-coefficients") as g:
+        with _Group(results, f"{name}-coefficients") as g:
             for n in range(spec.coeff_from, top - spec.extra + 1):
                 member = value(name, n)
                 for lam in partitions_of(n + spec.extra):
@@ -409,7 +402,7 @@ def coefficient_sweeps_check(max_size: int = 9) -> list[CaseResult]:
                 g.check(f"{shape}:{lam}:formula", scale * printed(lam), want)
                 g.check(f"{shape}:{lam}:value",
                         value(name, sum(lam) - spec.extra).coefficient(lam), want)
-    return col.results
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +439,8 @@ FIXTURES = {
 
 
 def fixtures_check() -> list[CaseResult]:
-    col = Collector("oracle")
-    with col.group("fixtures") as g:
+    results: list[CaseResult] = []
+    with _Group(results, "fixtures") as g:
         for (name, n), want in FIXTURES.items():
             g.check(f"{name}:{n}:family", fam.family_value(name, n), want)
             if n >= fam.FAMILIES[name].pinned_below:
@@ -455,13 +448,14 @@ def fixtures_check() -> list[CaseResult]:
         g.check("empty-graph", csf(graphs.path(0)), SymE.one())
         g.check("twin-P2-is-triangle", csf(graphs.twin(graphs.path(2), 0)),
                 e(3) * 6)
-    return col.results
+    return results
 
 
 def structural_check(max_vertices: int = 9) -> list[CaseResult]:
-    col = Collector("oracle")
-    with (col.group("homogeneity") as homog, col.group("triple-deletion") as triple,
-          col.group("coloring-counts") as counts, col.group("twin-edge-count") as twins):
+    results: list[CaseResult] = []
+    with (_Group(results, "homogeneity") as homog, _Group(results, "triple-deletion") as triple,
+          _Group(results, "coloring-counts") as counts,
+          _Group(results, "twin-edge-count") as twins):
         for _, _, _, label, graph in family_instances(max_vertices):
             if graph is None:
                 continue
@@ -475,18 +469,18 @@ def structural_check(max_vertices: int = 9) -> list[CaseResult]:
                 twins.check(f"{label}:v=0", len(graphs.twin(graph, 0).edges),
                             len(graph.edges) + len(graph.neighbors(0)) + 1)
 
-    with col.group("near-triangle") as g:
+    with _Group(results, "near-triangle") as g:
         for n in range(3, min(6, max_vertices) + 1):
             g.check_true(f"path:{n}", near_triangle_check(graphs.path(n), 1, 0, 2))
         for n in range(4, min(6, max_vertices) + 1):
             g.check_true(f"cycle:{n}", near_triangle_check(graphs.cycle(n), 1, 0, 2))
 
-    with col.group("leaf-twin-reduction") as g:
+    with _Group(results, "leaf-twin-reduction") as g:
         for m in range(1, 7):
             g.check_true(f"path:{m}",
                          leaf_twin_reduction_check(graphs.path(m), m - 1))
 
-    with col.group("multiplicativity") as g:
+    with _Group(results, "multiplicativity") as g:
         pairs = [(graphs.path(a), graphs.path(b)) for a, b in
                  ((1, 1), (2, 3), (3, 3), (4, 5), (2, 6))]
         pairs += [(graphs.cycle(3), graphs.path(4)), (graphs.cycle(4), graphs.cycle(5)),
@@ -495,14 +489,26 @@ def structural_check(max_vertices: int = 9) -> list[CaseResult]:
             g.check(f"{gg!r}|{hh!r}",
                     csf(graphs.disjoint_union(gg, hh)),
                     csf(gg) * csf(hh))
-    return col.results
+    return results
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 
 
-SUITES = ("partitions", "series", "families", "oracle")
+# suite name -> f(max_n, max_deg, seed) running its checks, the one place a
+# check's suite is declared.  Each lambda looks its checks up by name when
+# called, so a wrapper installed on this module (a tracer) sees every call.
+SUITES = {
+    "partitions": lambda max_n, max_deg, seed: (
+        epsilon_table_check() + epsilon_properties_check(min(12, max_deg))
+        + enumeration_check(max_deg)),
+    "series": lambda max_n, max_deg, seed: (
+        ring_laws_check(seed) + newton_check() + series_identities_check(max_deg)),
+    "families": lambda max_n, max_deg, seed: (
+        family_sweep_check(max_n) + coefficient_sweeps_check(max_n)),
+    "oracle": lambda max_n, max_deg, seed: fixtures_check() + structural_check(max_n),
+}
 
 
 def check_bounds(max_n: int, max_deg: int) -> None:
@@ -523,25 +529,17 @@ def run_suites(names, max_n: int = 9, max_deg: int = 12, seed: int = 0) -> list[
     """Run the selected suites (or all; a string names one) and return sorted results."""
     if isinstance(names, str):
         names = [names]
-    wanted = list(SUITES) if "all" in names else [n for n in SUITES if n in names]
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if not names:  # no checks would run, and no rows read as no failures
+        raise ValueError("no suites selected")
     check_bounds(max_n, max_deg)
     results: list[CaseResult] = []
-    if "partitions" in wanted:
-        results += epsilon_table_check()
-        results += epsilon_properties_check(min(12, max_deg))
-        results += enumeration_check(max_deg)
-    if "series" in wanted:
-        results += ring_laws_check(seed)
-        results += newton_check()
-        results += series_identities_check(max_deg)
-    if "families" in wanted:
-        results += family_sweep_check(max_n)
-        results += coefficient_sweeps_check(max_n)
-    if "oracle" in wanted:
-        results += fixtures_check()
-        results += structural_check(max_n)
+    for suite, run in SUITES.items():
+        if suite in names or "all" in names:
+            for r in run(max_n, max_deg, seed):
+                r.suite = suite
+                results.append(r)
     results.sort(key=lambda r: (r.suite, r.case))
     return results

@@ -217,6 +217,16 @@ def test_family_single_method_json(capsys):
     assert SymE.from_json_obj(obj["value"]).homogeneous_degree() == 6
 
 
+def test_family_json_names_one_method_as_typed_and_all_methods_as_a_list(capsys):
+    argv = ("family", "--name", "twin-cycle", "--n", "4", "--json", "--method")
+    one, every = (json.loads(run_cli(capsys, *argv, m)[1]) for m in ("Recurrence", "all"))
+    assert list(one) == ["family", "n", "ell", "method", "value"]
+    assert list(every) == ["family", "n", "ell", "methods", "value"]
+    assert one["method"] == "Recurrence"
+    assert every["methods"] == list(FAMILIES["twin-cycle"].routes)
+    assert one["value"] == every["value"]
+
+
 def test_family_missing_ell(capsys):
     code, _, err = run_cli(capsys, "family", "--name", "flagpole", "--n", "4")
     assert code == 2
@@ -516,6 +526,37 @@ def test_run_suites_takes_one_suite_name_as_a_string():
     assert every == verify.run_suites(["all"], max_n=3, max_deg=2)
     with pytest.raises(ValueError, match=r"unknown suites: \['nope'\]"):
         verify.run_suites("nope")
+
+
+def test_run_suites_refuses_an_empty_selection():
+    with pytest.raises(ValueError, match="no suites selected"):
+        cli.verify.run_suites([])
+
+
+def test_each_suite_alone_stamps_only_its_own_rows():
+    verify = cli.verify
+    # a check called directly leaves the suite to run_suites
+    assert {r.suite for r in verify.epsilon_table_check()} == {""}
+    alone = {suite: verify.run_suites(suite) for suite in verify.SUITES}
+    for suite, rows in alone.items():
+        assert rows and {r.suite for r in rows} == {suite}
+        elsewhere = {r.case for other, rs in alone.items() if other != suite for r in rs}
+        assert not elsewhere & {r.case for r in rows}, suite
+    union = sorted((r for rows in alone.values() for r in rows), key=lambda r: (r.suite, r.case))
+    assert len(union) == 40
+    assert union == verify.run_suites("all")
+
+
+def test_the_series_suite_scans_for_e_positivity_only_where_claimed(monkeypatch):
+    verify = cli.verify
+    monkeypatch.setattr(SymE, "negative_term", lambda self: ((2, 1), -1))
+    monkeypatch.setitem(FAMILIES, "twin-cycle",
+                        dataclasses.replace(FAMILIES["twin-cycle"], e_positive=False))
+    results = verify.series_identities_check(8)
+    groups = {r.case.partition(":")[0] for r in results}
+    gf_groups = {group for group in groups if group.endswith("-gf")}
+    assert len(gf_groups) == 10 and "twin-cycle-gf" in gf_groups
+    assert _failed_groups(results) == (gf_groups - {"twin-cycle-gf"}) | {"epos-combos"}
 
 
 def test_verify_checks_e_positivity_where_each_form_and_value_is_built(monkeypatch):
