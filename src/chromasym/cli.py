@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from . import families, graphs, powerseries, verify
 from .csf import chromatic_count_check, csf
@@ -100,11 +101,12 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the bounds, then --out, before any check runs: a usage error costs no
-    # work and leaves an existing report as it was
+    # the bounds, then that --out opens, before any check runs: a usage error
+    # costs no work, and an existing report is kept until the new one is built
     verify.check_bounds(args.max_n, args.max_deg)
     try:
-        out = open(args.out, "w") if args.out else None
+        if args.out:
+            open(args.out, "a").close()
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None
     results = verify.run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
@@ -115,11 +117,11 @@ def _cmd_verify(args) -> int:
         "max_n": args.max_n,
         "max_deg": args.max_deg,
         "seed": args.seed,
-        "cases": [r.to_json_obj() for r in results],
+        "cases": [asdict(r) for r in results],
         "failed": len(failures),
     }
-    if out:
-        with out:
+    if args.out:
+        with open(args.out, "w") as out:
             json.dump(report, out, indent=2)
     if args.json:
         print(json.dumps(report))

@@ -20,7 +20,7 @@ from chromasym.cli import main
 from chromasym.csf import DEFAULT_MAX_VERTICES
 from chromasym.families import FAMILIES
 from chromasym.powerseries import SERIES_NAMES, Series
-from chromasym.symfun import _MEMOS, SymE, e
+from chromasym.symfun import _MEMOS, SymE, e, e_term
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +331,28 @@ def test_verify_usage_error_keeps_an_existing_report(capsys, tmp_path):
         assert report.read_bytes() == b'{"failed": 0}\n', (flag, value)
 
 
+def test_verify_out_keeps_the_previous_report_until_the_new_one_is_written(monkeypatch, capsys,
+                                                                           tmp_path):
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"failed": 0}\n')
+
+    def crash(max_n):
+        raise RuntimeError("check crashed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.verify, "structural_check", crash)
+        with pytest.raises(RuntimeError, match="check crashed"):
+            main(["verify", "--suite", "oracle", "--max-n", "5", "--out", str(report)])
+    assert report.read_bytes() == b'{"failed": 0}\n'
+
+    # a finished run replaces the report whole, however long the old one was
+    report.write_text(" " * 10**6)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "5",
+                           "--out", str(report), "--json")
+    assert code == 0
+    assert json.loads(report.read_text()) == json.loads(out)
+
+
 def test_verify_oracle_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "5")
     assert code == 0
@@ -451,6 +473,60 @@ def test_merged_verify_groups_report_only_their_own_failures(monkeypatch):
         patch.setattr(verify, "epsilon_minus", lambda lam, j: -1)
         assert (_failed_groups(verify.epsilon_properties_check(6))
                 == {"epsilon-scaling", "epsilon-removal"})
+
+
+def test_failed_rows_carry_the_repr_of_both_values_compared(monkeypatch):
+    verify = cli.verify
+    # every gf form's grading check, its bool against True
+    with monkeypatch.context() as patch:
+        patch.setattr(Series, "graded_ok", lambda self: False)
+        graded = [r for r in verify.series_identities_check(8) if r.case.endswith("-graded")]
+    want = {f"{name}-gf:{form}-graded" if ell is None else f"{name}-ell{ell}-gf:{form}-graded"
+            for name, spec in FAMILIES.items() for form in spec.gfs
+            for ell in (verify.GF_ELLS if spec.ells else (None,))}
+    assert {r.case for r in graded} == want
+    assert {(r.status, r.expected, r.actual) for r in graded} == {("fail", "True", "False")}
+
+    # a claimed family's value given a negative term: the row shows that term
+    routes = FAMILIES["path"].routes
+    default = next(iter(routes))
+    right = routes[default]
+    with monkeypatch.context() as patch:
+        patch.setitem(routes, default, lambda n, ell: right(n, ell) - e_term((n - 1, 1), 1000)
+                      if n >= 3 else right(n, ell))
+        epos = [r for r in verify.family_sweep_check(6)
+                if r.case.startswith("family-values-epos:")]
+    assert {r.case: (r.expected, r.actual) for r in epos} == {
+        f"family-values-epos:path:n={n}":
+            ("None", repr(((n - 1, 1), right(n, None).coefficient((n - 1, 1)) - 1000)))
+        for n in range(3, 7)}
+
+    # a csf helper check's bool against True, in its own group only
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "triple_deletion_check", lambda graph, tri: False)
+        failed = [r for r in verify.structural_check(5) if r.status != "pass"]
+    assert failed and _failed_groups(failed) == {"triple-deletion"}
+    assert {(r.expected, r.actual) for r in failed} == {("True", "False")}
+
+
+def test_a_check_that_raises_propagates_and_adds_no_row_for_its_group(monkeypatch):
+    verify = cli.verify
+    for checks in ([], [(1, 1)], [(1, 2)]):  # nothing checked, a pass, a failure
+        results = []
+        with pytest.raises(ZeroDivisionError):
+            with verify._Group(results, "earlier") as done, verify._Group(results, "crashed") as g:
+                done.check("ok", 1, 1)
+                for actual, expected in checks:
+                    g.check("row", actual, expected)
+                1 / 0
+        assert results == [], checks
+
+    def crash(graph, tri):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(verify, "triple_deletion_check", crash)
+    with pytest.raises(ZeroDivisionError):
+        verify.run_suites("oracle", max_n=5)
 
 
 def test_series_suite_builds_its_gf_forms_transiently():
